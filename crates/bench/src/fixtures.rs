@@ -22,7 +22,7 @@ use synquid_logic::{Sort, Term};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// A full `sat(antecedent ∧ ¬consequent)` validity query: SAT
-    /// skeleton search plus LIA theory checks plus core shrinking.
+    /// skeleton search plus LIA theory checks and their conflict cores.
     Query,
     /// MARCO MUS enumeration with the SMT solver as the subset oracle.
     Mus,
@@ -151,7 +151,7 @@ fn take_guard_abduction() -> Workload {
 
 /// `take.sq` (3,1): the measure-heavy subtyping VC for a doubly nested
 /// `Cons` candidate — deep set reasoning over `elems`, the encoding- and
-/// shrink-heavy workload. Captured verdict: Sat (subtyping fails).
+/// conflict-heavy workload. Captured verdict: Sat (subtyping fails).
 fn take_cons_subtype() -> Workload {
     let (xs, xs1) = (lvar("xs"), lvar("xs1"));
     let (c11, c10, c018, nil) = (lvar("c11"), lvar("c10"), lvar("c018"), lvar("Nil"));
@@ -189,8 +189,8 @@ fn take_cons_subtype() -> Workload {
 }
 
 /// `take.sq` (3,1): the termination-bound VC whose path condition is
-/// LIA-contradictory (`zero < n ∧ n ≤ 0 ∧ 0 < zero`) — the core-shrink
-/// workload: DPLL(T) must find and minimize the conflict. Captured
+/// LIA-contradictory (`zero < n ∧ n ≤ 0 ∧ 0 < zero`) — the conflict
+/// workload: DPLL(T) must find and explain the conflict. Captured
 /// verdict: Unsat.
 fn take_rec_bound() -> Workload {
     let (c12, c10, nil) = (lvar("c12"), lvar("c10"), lvar("Nil"));
@@ -289,7 +289,7 @@ fn double_branch_mus() -> Workload {
 }
 
 /// `take.sq` (3,1): the MUSFIX strengthening problem for the `Nil`
-/// branch — the shrink-loop workload the shared-encoding MUS oracle
+/// branch — the MARCO workload the shared-encoding MUS oracle
 /// targets. The background is the branch VC (measure context included)
 /// with its conclusion negated; the soft atoms are the liquid-abduction
 /// candidate qualifiers over `n`, `m`, and `len xs`, most of them

@@ -13,8 +13,8 @@
 //!
 //! Every iteration rebuilds the formula and a fresh [`Smt`] instance, so
 //! measurements never benefit from the validity cache or the lemma store
-//! of a previous iteration: what is timed is the full encode → DPLL(T) →
-//! core-shrink pipeline. Phase splits come from
+//! of a previous iteration: what is timed is the full encode → DPLL(T)
+//! pipeline, with MUS enumeration for the MUS fixtures. Phase splits come from
 //! [`synquid_solver::SmtStats::phases`] when span profiling is enabled
 //! (the smoke runner enables it).
 

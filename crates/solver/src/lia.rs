@@ -164,8 +164,11 @@ impl Constraint {
 pub enum LiaResult {
     /// Satisfiable with an integer model.
     Sat(BTreeMap<VarId, Rational>),
-    /// Unsatisfiable.
-    Unsat,
+    /// Unsatisfiable, with an explanation: the sorted indices (into the
+    /// checked constraint slice) of a subset that is unsatisfiable on its
+    /// own — the constraints behind a Farkas row, a bound clash, or both
+    /// branches of a branch-and-bound node.
+    Unsat(Vec<usize>),
     /// The branch-and-bound budget was exhausted; treated as "possibly
     /// satisfiable" by callers (conservative for validity checking).
     Unknown,
@@ -174,7 +177,24 @@ pub enum LiaResult {
 impl LiaResult {
     /// True unless the result is [`LiaResult::Unsat`].
     pub fn possibly_sat(&self) -> bool {
-        !matches!(self, LiaResult::Unsat)
+        !matches!(self, LiaResult::Unsat(_))
+    }
+}
+
+/// A bound's value and its reason: the index of the checked constraint
+/// that asserted it, or the id of the branch-and-bound node that did.
+type Bound = (Rational, usize);
+
+/// Unsatisfiable: the reasons of the bounds that conflict.
+type Conflict = Vec<usize>;
+
+/// True when `x` lies beyond the bound `c` in the bound's direction
+/// (above it for an upper bound, below it for a lower one).
+fn beyond(upper: bool, x: Rational, c: Rational) -> bool {
+    if upper {
+        x > c
+    } else {
+        x < c
     }
 }
 
@@ -186,9 +206,9 @@ struct Simplex {
     /// Rows: basic variable -> linear combination of non-basic variables.
     rows: BTreeMap<VarId, BTreeMap<VarId, Rational>>,
     /// Lower bounds.
-    lower: BTreeMap<VarId, Rational>,
+    lower: BTreeMap<VarId, Bound>,
     /// Upper bounds.
-    upper: BTreeMap<VarId, Rational>,
+    upper: BTreeMap<VarId, Bound>,
     /// Current assignment β.
     beta: BTreeMap<VarId, Rational>,
     /// Total pivots performed over the tableau's lifetime.
@@ -244,42 +264,39 @@ impl Simplex {
         s
     }
 
-    fn assert_upper(&mut self, v: VarId, c: Rational) -> bool {
-        if let Some(l) = self.lower.get(&v) {
-            if *l > c {
-                return false;
-            }
+    fn bounds(&mut self, upper: bool) -> &mut BTreeMap<VarId, Bound> {
+        if upper {
+            &mut self.upper
+        } else {
+            &mut self.lower
         }
-        let tighter = match self.upper.get(&v) {
-            Some(u) => c < *u,
-            None => true,
-        };
-        if tighter {
-            self.upper.insert(v, c);
-            if !self.rows.contains_key(&v) && self.beta(v) > c {
-                self.update_nonbasic(v, c);
-            }
-        }
-        true
     }
 
-    fn assert_lower(&mut self, v: VarId, c: Rational) -> bool {
-        if let Some(u) = self.upper.get(&v) {
-            if *u < c {
-                return false;
+    /// Asserts `v ≤ c` (`upper`) or `v ≥ c` for the given reason. A clash
+    /// with the opposite bound is explained by the two bounds' reasons.
+    fn assert_bound(
+        &mut self,
+        v: VarId,
+        c: Rational,
+        upper: bool,
+        why: usize,
+    ) -> Result<(), Conflict> {
+        if let Some(&(o, o_why)) = self.bounds(!upper).get(&v) {
+            if beyond(upper, o, c) {
+                return Err(vec![o_why, why]);
             }
         }
-        let tighter = match self.lower.get(&v) {
-            Some(l) => c > *l,
-            None => true,
-        };
-        if tighter {
-            self.lower.insert(v, c);
-            if !self.rows.contains_key(&v) && self.beta(v) < c {
+        if self
+            .bounds(upper)
+            .get(&v)
+            .is_none_or(|&(b, _)| beyond(upper, b, c))
+        {
+            self.bounds(upper).insert(v, (c, why));
+            if !self.rows.contains_key(&v) && beyond(upper, self.beta(v), c) {
                 self.update_nonbasic(v, c);
             }
         }
-        true
+        Ok(())
     }
 
     /// Sets a non-basic variable to a new value and updates all basic rows.
@@ -355,41 +372,36 @@ impl Simplex {
     }
 
     /// Restores feasibility (the "check" procedure of the general simplex).
-    fn check(&mut self) -> bool {
+    /// When no pivot can repair a violated row, that row is the Farkas
+    /// certificate of infeasibility: the violated bound of its basic
+    /// variable plus the bound pinning each of its non-basic variables.
+    fn check(&mut self) -> Result<(), Conflict> {
         let max_iters = 10_000;
         for _ in 0..max_iters {
             // Find a basic variable violating one of its bounds (Bland's
             // rule: smallest id first, to guarantee termination).
             let violated = self.rows.keys().copied().find(|b| {
                 let v = self.beta(*b);
-                self.lower.get(b).is_some_and(|l| v < *l)
-                    || self.upper.get(b).is_some_and(|u| v > *u)
+                self.lower.get(b).is_some_and(|l| v < l.0)
+                    || self.upper.get(b).is_some_and(|u| v > u.0)
             });
             let Some(b) = violated else {
-                return true;
+                return Ok(());
             };
             let v = self.beta(b);
-            let below = self.lower.get(&b).is_some_and(|l| v < *l);
-            let target = if below {
+            let below = self.lower.get(&b).is_some_and(|l| v < l.0);
+            let (target, why) = if below {
                 self.lower[&b]
             } else {
                 self.upper[&b]
             };
+            // Rows are BTreeMaps, so candidates come in Bland's id order.
             let row = self.rows[&b].clone();
-            // Find a suitable non-basic variable to pivot with (Bland).
             let mut entering = None;
-            let mut candidates: Vec<(VarId, Rational)> = row.into_iter().collect();
-            candidates.sort_by_key(|(v, _)| *v);
-            for (n, a) in candidates {
+            for (&n, &a) in &row {
                 let n_val = self.beta(n);
-                let can_increase = match self.upper.get(&n) {
-                    Some(u) => n_val < *u,
-                    None => true,
-                };
-                let can_decrease = match self.lower.get(&n) {
-                    Some(l) => n_val > *l,
-                    None => true,
-                };
+                let can_increase = self.upper.get(&n).is_none_or(|u| n_val < u.0);
+                let can_decrease = self.lower.get(&n).is_none_or(|l| n_val > l.0);
                 let ok = if below {
                     (a.is_positive() && can_increase) || (a.is_negative() && can_decrease)
                 } else {
@@ -400,13 +412,19 @@ impl Simplex {
                     break;
                 }
             }
-            match entering {
-                Some(n) => self.pivot(b, n, target),
-                None => return false,
-            }
+            let Some(n) = entering else {
+                // Every non-basic variable of the row sits at the bound
+                // that keeps `b` from moving towards `target`.
+                let pinned = row.iter().map(|(n, a)| {
+                    let at_upper = a.is_positive() == below;
+                    self.bounds(at_upper)[n].1
+                });
+                return Err(std::iter::once(why).chain(pinned).collect());
+            };
+            self.pivot(b, n, target);
         }
         // Should not happen with Bland's rule; be conservative.
-        true
+        Ok(())
     }
 
     fn model(&self, num_problem_vars: usize) -> BTreeMap<VarId, Rational> {
@@ -415,12 +433,13 @@ impl Simplex {
 }
 
 /// One saved bound entry of the backtracking trail: the variable, which
-/// bound was touched, and its previous value (`None` = was unbounded).
+/// bound was touched, and its previous value and reason (`None` = was
+/// unbounded).
 #[derive(Debug, Clone)]
 struct BoundUndo {
     var: VarId,
     upper: bool,
-    old: Option<Rational>,
+    old: Option<Bound>,
 }
 
 /// An incremental LIA solver whose simplex tableau stays *warm* across
@@ -546,11 +565,7 @@ impl IncrementalLia {
         let mark = self.frames.pop().expect("pop without matching push");
         while self.trail.len() > mark {
             let undo = self.trail.pop().unwrap();
-            let map = if undo.upper {
-                &mut self.simplex.upper
-            } else {
-                &mut self.simplex.lower
-            };
+            let map = self.simplex.bounds(undo.upper);
             match undo.old {
                 Some(c) => {
                     map.insert(undo.var, c);
@@ -570,22 +585,16 @@ impl IncrementalLia {
         }
     }
 
-    fn assert_upper(&mut self, v: VarId, c: Rational) -> bool {
-        self.trail.push(BoundUndo {
-            var: v,
-            upper: true,
-            old: self.simplex.upper.get(&v).copied(),
-        });
-        self.simplex.assert_upper(v, c)
-    }
-
-    fn assert_lower(&mut self, v: VarId, c: Rational) -> bool {
-        self.trail.push(BoundUndo {
-            var: v,
-            upper: false,
-            old: self.simplex.lower.get(&v).copied(),
-        });
-        self.simplex.assert_lower(v, c)
+    fn assert_bound(
+        &mut self,
+        v: VarId,
+        c: Rational,
+        upper: bool,
+        why: usize,
+    ) -> Result<(), Conflict> {
+        let old = self.simplex.bounds(upper).get(&v).copied();
+        self.trail.push(BoundUndo { var: v, upper, old });
+        self.simplex.assert_bound(v, c, upper, why)
     }
 
     /// The slack variable standing for this linear combination,
@@ -615,8 +624,12 @@ impl IncrementalLia {
         let pivots_before = self.simplex.pivots;
         let depth = self.frames.len();
         self.push();
-        let result = self.check_in_frame(constraints);
+        let mut result = self.check_in_frame(constraints);
         self.pop_to(depth);
+        if let LiaResult::Unsat(core) = &mut result {
+            core.sort_unstable();
+            core.dedup();
+        }
         if matches!(result, LiaResult::Unknown) && self.deadline_passed() {
             // Deadline-truncated: the verdict reflects the budget, and
             // the tableau is not trusted either (the incremental
@@ -636,24 +649,32 @@ impl IncrementalLia {
         self.deadline.is_some_and(|d| std::time::Instant::now() > d)
     }
 
+    /// Asserts every constraint as a bound reasoned by its index, then
+    /// searches; conflicts are explained by those indices.
     fn check_in_frame(&mut self, constraints: &[Constraint]) -> LiaResult {
         let empty = BTreeMap::new();
-        for c in constraints {
-            if c.expr.is_constant() && !c.holds(&empty) {
-                return LiaResult::Unsat;
-            }
+        if let Some(i) = constraints
+            .iter()
+            .position(|c| c.expr.is_constant() && !c.holds(&empty))
+        {
+            return LiaResult::Unsat(vec![i]);
         }
-        for c in constraints.iter().filter(|c| !c.expr.is_constant()) {
+        for (i, c) in constraints.iter().enumerate() {
+            if c.expr.is_constant() {
+                continue;
+            }
             let s = self.slack_for(&c.expr.coeffs);
             // expr ⋈ 0  ⟺  Σ aᵢxᵢ ⋈ -constant
             let bound = -c.expr.constant;
-            let ok = match c.rel {
-                Rel::Le => self.assert_upper(s, bound),
-                Rel::Ge => self.assert_lower(s, bound),
-                Rel::Eq => self.assert_upper(s, bound) && self.assert_lower(s, bound),
+            let asserted = match c.rel {
+                Rel::Le => self.assert_bound(s, bound, true, i),
+                Rel::Ge => self.assert_bound(s, bound, false, i),
+                Rel::Eq => self
+                    .assert_bound(s, bound, true, i)
+                    .and_then(|()| self.assert_bound(s, bound, false, i)),
             };
-            if !ok {
-                return LiaResult::Unsat;
+            if let Err(core) = asserted {
+                return LiaResult::Unsat(core);
             }
         }
         let mut budget = self.branch_budget;
@@ -667,13 +688,15 @@ impl IncrementalLia {
         result
     }
 
-    /// Feasibility plus branch-and-bound over the current bound frame.
+    /// Feasibility plus branch-and-bound over the current bound frame. A
+    /// node's conflict is the union of both branches' conflicts minus the
+    /// node's own branch bounds, whose reason id is unique on the path.
     fn solve_rec(&mut self, budget: &mut usize) -> LiaResult {
         if self.deadline_passed() {
             return LiaResult::Unknown;
         }
-        if !self.simplex.check() {
-            return LiaResult::Unsat;
+        if let Err(core) = self.simplex.check() {
+            return LiaResult::Unsat(core);
         }
         let model = self.simplex.model(self.num_problem_vars);
         let fractional = model.iter().find(|(_, v)| !v.is_integer());
@@ -684,30 +707,23 @@ impl IncrementalLia {
             return LiaResult::Unknown;
         }
         *budget -= 1;
-        // Left branch: v ≤ floor(val), on the same tableau.
-        self.push();
-        let floor = Rational::new(val.floor(), 1);
-        let left = if self.assert_upper(v, floor) {
-            self.solve_rec(budget)
-        } else {
-            LiaResult::Unsat
-        };
-        self.pop();
-        match left {
-            LiaResult::Sat(m) => return LiaResult::Sat(m),
-            LiaResult::Unknown => return LiaResult::Unknown,
-            LiaResult::Unsat => {}
+        let branch = usize::MAX - self.frames.len();
+        let mut core = Vec::new();
+        // Left branch v ≤ floor(val), then right branch v ≥ ceil(val), each
+        // on the same tableau.
+        for (upper, bound) in [(true, val.floor()), (false, val.ceil())] {
+            self.push();
+            let result = match self.assert_bound(v, Rational::new(bound, 1), upper, branch) {
+                Ok(()) => self.solve_rec(budget),
+                Err(clash) => LiaResult::Unsat(clash),
+            };
+            self.pop();
+            match result {
+                LiaResult::Unsat(c) => core.extend(c.into_iter().filter(|&r| r != branch)),
+                found => return found,
+            }
         }
-        // Right branch: v ≥ ceil(val).
-        self.push();
-        let ceil = Rational::new(val.ceil(), 1);
-        let right = if self.assert_lower(v, ceil) {
-            self.solve_rec(budget)
-        } else {
-            LiaResult::Unsat
-        };
-        self.pop();
-        right
+        LiaResult::Unsat(core)
     }
 }
 
@@ -766,7 +782,7 @@ mod tests {
         let solver = LiaSolver::new();
         assert!(matches!(solver.check(0, &[]), LiaResult::Sat(_)));
         let c = Constraint::le(num(1), num(0));
-        assert_eq!(solver.check(0, &[c]), LiaResult::Unsat);
+        assert!(matches!(solver.check(0, &[c]), LiaResult::Unsat(_)));
     }
 
     #[test]
@@ -790,7 +806,7 @@ mod tests {
             Constraint::ge(var(0), num(4)),
             Constraint::le(var(0), num(3)),
         ];
-        assert_eq!(solver.check(1, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(1, &cs), LiaResult::Unsat(_)));
     }
 
     #[test]
@@ -802,7 +818,7 @@ mod tests {
             Constraint::ge(var(0), num(3)),
             Constraint::ge(var(1), num(3)),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(2, &cs), LiaResult::Unsat(_)));
         // x + y <= 5 ∧ x >= 3 ∧ y >= 2 is sat
         let cs = vec![
             Constraint::le(var(0).plus(&var(1)), num(5)),
@@ -821,7 +837,7 @@ mod tests {
             Constraint::eq(var(1), num(0)),
             Constraint::ge(var(0), num(1)),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(2, &cs), LiaResult::Unsat(_)));
     }
 
     #[test]
@@ -829,7 +845,7 @@ mod tests {
         let solver = LiaSolver::new();
         // 2x = 1 has a rational solution but no integer one.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(1))];
-        assert_eq!(solver.check(1, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(1, &cs), LiaResult::Unsat(_)));
         // 2x = 4 is fine.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(4))];
         assert!(matches!(solver.check(1, &cs), LiaResult::Sat(_)));
@@ -854,7 +870,7 @@ mod tests {
             Constraint::lt_int(var(0), var(1)),
             Constraint::lt_int(var(1), var(0).plus(&num(1))),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(2, &cs), LiaResult::Unsat(_)));
     }
 
     #[test]
@@ -889,7 +905,7 @@ mod tests {
             Constraint::ge(var(2), num(6)),
             Constraint::ge(var(1), num(2)),
         ];
-        assert_eq!(solver.check(3, &cs), LiaResult::Unsat);
+        assert!(matches!(solver.check(3, &cs), LiaResult::Unsat(_)));
     }
 
     #[test]
@@ -924,8 +940,8 @@ mod tests {
             let warm = inc.check(cs);
             let cold = scratch.check(2, cs);
             assert_eq!(
-                matches!(warm, LiaResult::Unsat),
-                matches!(cold, LiaResult::Unsat),
+                matches!(warm, LiaResult::Unsat(_)),
+                matches!(cold, LiaResult::Unsat(_)),
                 "verdict divergence on {cs:?}: warm {warm:?} vs cold {cold:?}"
             );
             if let LiaResult::Sat(m) = warm {
@@ -962,7 +978,7 @@ mod tests {
                 Constraint::ge(var(0), num(4)),
                 Constraint::le(var(0), num(3)),
             ]),
-            LiaResult::Unsat
+            LiaResult::Unsat(vec![0, 1])
         );
         assert!(matches!(
             inc.check(&[Constraint::ge(var(0), num(4))]),
@@ -976,13 +992,108 @@ mod tests {
         // 2x = 1: rational-feasible, integer-infeasible — both branches
         // of the branch-and-bound run and both must unwind cleanly.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(1))];
-        assert_eq!(inc.check(&cs), LiaResult::Unsat);
+        assert!(matches!(inc.check(&cs), LiaResult::Unsat(_)));
         // The tableau is still usable and unconstrained afterwards.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(4))];
         match inc.check(&cs) {
             LiaResult::Sat(m) => assert_eq!(m[&0], Rational::from_int(2)),
             other => panic!("expected sat, got {other:?}"),
         }
+    }
+
+    fn core_of(result: LiaResult) -> Vec<usize> {
+        match result {
+            LiaResult::Unsat(core) => core,
+            other => panic!("expected unsat, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bound_clash_is_explained_by_its_two_sources() {
+        let cs = vec![
+            Constraint::ge(var(0), num(4)),
+            Constraint::ge(var(1), num(0)),
+            Constraint::le(var(0), num(3)),
+        ];
+        assert_eq!(core_of(LiaSolver::new().check(2, &cs)), vec![0, 2]);
+    }
+
+    #[test]
+    fn row_conflict_leaves_irrelevant_constraints_out() {
+        // x + y ≤ 5 ∧ x ≥ 3 ∧ y ≥ 3 is the conflict; the z/w constraints
+        // are satisfiable bystanders that the Farkas row never touches.
+        let cs = vec![
+            Constraint::le(var(0).plus(&var(1)), num(5)),
+            Constraint::ge(var(2), num(7)),
+            Constraint::ge(var(0), num(3)),
+            Constraint::le(var(2).minus(&var(3)), num(2)),
+            Constraint::ge(var(1), num(3)),
+        ];
+        assert_eq!(core_of(LiaSolver::new().check(4, &cs)), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn integrality_conflict_drops_branch_bounds() {
+        // 2x = 1 is refuted only by branch and bound (x ≤ 0 and x ≥ 1 both
+        // fail); the core is the union of both branches minus the branch
+        // bounds, i.e. the equation alone.
+        let cs = vec![
+            Constraint::ge(var(1), num(0)),
+            Constraint::eq(var(0).scaled(Rational::from_int(2)), num(1)),
+        ];
+        assert_eq!(core_of(LiaSolver::new().check(2, &cs)), vec![1]);
+        let mut inc = IncrementalLia::new(2);
+        assert_eq!(core_of(inc.check(&cs)), vec![1]);
+    }
+
+    #[test]
+    fn random_unsat_cores_are_unsat_on_their_own() {
+        // SplitMix64, so the systems are the same on every run.
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        // A small branch budget keeps the unbounded searches short; the
+        // cores are re-checked with the default one.
+        let fresh = LiaSolver {
+            branch_budget: 30,
+            deadline: None,
+        };
+        let mut unsat = 0;
+        for _ in 0..400 {
+            let cs: Vec<Constraint> = (0..2 + next(5))
+                .map(|_| {
+                    let mut expr = num(next(11) as i64 - 5);
+                    for v in 0..3 {
+                        expr = expr.plus(&var(v).scaled(Rational::from_int(next(7) as i64 - 3)));
+                    }
+                    let rel = [Rel::Le, Rel::Ge, Rel::Eq][next(3) as usize];
+                    Constraint { expr, rel }
+                })
+                .collect();
+            // The warm tableau checks a prefix first, so the full system
+            // starts from a basis left by an earlier check.
+            let mut warm = IncrementalLia::new(3);
+            warm.branch_budget = fresh.branch_budget;
+            warm.check(&cs[..1]);
+            for result in [warm.check(&cs), fresh.check(3, &cs)] {
+                let LiaResult::Unsat(core) = result else {
+                    continue;
+                };
+                unsat += 1;
+                assert!(core.windows(2).all(|w| w[0] < w[1]) && core.iter().all(|&i| i < cs.len()));
+                let subset: Vec<Constraint> = core.iter().map(|&i| cs[i].clone()).collect();
+                assert!(
+                    matches!(LiaSolver::new().check(3, &subset), LiaResult::Unsat(_)),
+                    "core {core:?} of {cs:?} is not unsat on its own"
+                );
+            }
+        }
+        assert!(unsat > 100, "too few unsat systems to test: {unsat}");
     }
 
     #[test]
@@ -1011,7 +1122,7 @@ mod tests {
                 Constraint::ge(var(0), num(4)),
                 Constraint::le(var(0), num(3)),
             ]),
-            LiaResult::Unsat
+            LiaResult::Unsat(vec![0, 1])
         );
         assert!(!inc.is_poisoned());
         assert_eq!(inc.rebuilds(), 1);

@@ -52,10 +52,13 @@ pub fn enumerate_mus(
 ) -> Vec<BTreeSet<usize>> {
     let mut muses: Vec<BTreeSet<usize>> = Vec::new();
     let mut checks = 0usize;
+    // The map's variable `i` is true when element `i` is *excluded* from
+    // the seed, so the map solver's negative-first decisions include every
+    // element they can: each seed is maximal among the unexplored sets.
     let mut map = SatSolver::new();
     map.reserve_vars(n);
     for &r in required {
-        map.add_clause(vec![Lit::pos(r)]);
+        map.add_clause(vec![Lit::neg(r)]);
     }
 
     loop {
@@ -67,14 +70,12 @@ pub fn enumerate_mus(
             SatResult::Unsat(_) => break,
             SatResult::Sat(model) => model,
         };
-        let mut seed: BTreeSet<usize> = (0..n)
-            .filter(|i| model.get(*i).copied().unwrap_or(false))
-            .collect();
-        seed.extend(required.iter().copied());
+        let seed: BTreeSet<usize> = (0..n).filter(|i| !model[*i]).collect();
 
-        // Grow the seed towards a maximal set first: MARCO works correctly
-        // with any seed, but maximal seeds find MUSes faster for our
-        // workloads because most candidate atoms are irrelevant.
+        // MARCO works with any seed, but maximal seeds find MUSes faster
+        // for our workloads because most candidate atoms are irrelevant:
+        // an unsatisfiable seed shrinks straight to a MUS, and a
+        // satisfiable one is already (nearly) an MSS.
         checks += 1;
         if !is_unsat(&seed) {
             // Satisfiable: grow to an MSS, then block down.
@@ -94,7 +95,7 @@ pub fn enumerate_mus(
                 }
             }
             // Block down: require at least one element outside the MSS.
-            let clause: Vec<Lit> = (0..n).filter(|i| !mss.contains(i)).map(Lit::pos).collect();
+            let clause: Vec<Lit> = (0..n).filter(|i| !mss.contains(i)).map(Lit::neg).collect();
             if clause.is_empty() {
                 // The full set is satisfiable: no MUS exists above it.
                 break;
@@ -124,7 +125,7 @@ pub fn enumerate_mus(
                 .iter()
                 .copied()
                 .filter(|i| !required.contains(i))
-                .map(Lit::neg)
+                .map(Lit::pos)
                 .collect();
             if clause.is_empty() {
                 // The required set alone is unsatisfiable; it is the unique
@@ -255,6 +256,25 @@ mod tests {
     fn required_set_alone_unsat_is_the_unique_mus() {
         let muses = enumerate_mus(3, &set(&[1]), MusConfig::default(), |s| s.contains(&1));
         assert_eq!(muses, vec![set(&[1])]);
+    }
+
+    #[test]
+    fn maximal_seeds_find_a_singleton_mus_in_one_shrink() {
+        // 16 elements, one singleton MUS {11}. The first seed is the whole
+        // set, unsat, and one deletion pass over its 16 elements shrinks
+        // it to the MUS: 17 oracle calls. Minimal seeds would first grow
+        // the empty seed element by element, taking 19.
+        let mut calls = 0;
+        let config = MusConfig {
+            max_muses: 1,
+            ..MusConfig::default()
+        };
+        let muses = enumerate_mus(16, &BTreeSet::new(), config, |s| {
+            calls += 1;
+            s.contains(&11)
+        });
+        assert_eq!(muses, vec![set(&[11])]);
+        assert!(calls <= 17, "{calls} oracle calls");
     }
 
     #[test]

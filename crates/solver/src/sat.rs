@@ -427,40 +427,31 @@ impl SatSolver {
             return SatResult::Unsat(vec![]);
         }
 
-        let mut conflicts = 0usize;
+        // Decision levels opened by assumptions. An assumption already
+        // implied by earlier ones opens none, so this can be fewer than
+        // `assumptions.len()`; every level above it is a real decision.
+        let mut assumed = 0;
         loop {
             // Apply assumptions as pseudo-decisions first.
             let mut all_assumed = true;
             for &a in assumptions {
                 match self.value(a) {
                     Value::True => continue,
-                    Value::False => {
-                        // Conflict with assumptions: collect involved assumptions.
-                        let core = self.assumption_core(a, assumptions);
-                        return SatResult::Unsat(core);
-                    }
+                    Value::False => return SatResult::Unsat(self.assumption_core(assumptions)),
                     Value::Unassigned => {
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(a, None);
+                        assumed = self.decision_level();
                         all_assumed = false;
                         break;
                     }
                 }
             }
             if !all_assumed {
-                if let Some(conflict) = self.propagate() {
-                    if self.decision_level() <= assumptions.len() {
-                        // Conflict among assumptions.
-                        let core = self.conflict_assumptions(conflict, assumptions);
-                        return SatResult::Unsat(core);
-                    }
-                    conflicts += 1;
-                    let (learned, bt) = self.analyze(conflict);
-                    self.backtrack(bt);
-                    let unit = learned[0];
-                    self.add_clause_runtime(learned);
-                    self.enqueue_learned(unit);
-                    let _ = conflicts;
+                // No real decision is open yet: a conflict here is one
+                // among the assumptions.
+                if self.propagate().is_some() {
+                    return SatResult::Unsat(self.assumption_core(assumptions));
                 }
                 continue;
             }
@@ -481,17 +472,12 @@ impl SatSolver {
             }
 
             while let Some(conflict) = self.propagate() {
-                if self.decision_level() == 0 {
-                    return SatResult::Unsat(assumptions.to_vec());
+                if self.decision_level() <= assumed {
+                    return SatResult::Unsat(self.assumption_core(assumptions));
                 }
-                if self.decision_level() <= assumptions.len() {
-                    let core = self.conflict_assumptions(conflict, assumptions);
-                    return SatResult::Unsat(core);
-                }
-                conflicts += 1;
                 self.var_inc *= 1.05;
                 let (learned, bt) = self.analyze(conflict);
-                self.backtrack(bt.max(assumptions.len().min(self.decision_level())));
+                self.backtrack(bt.max(assumed));
                 let unit = learned[0];
                 self.add_clause_runtime(learned);
                 self.enqueue_learned(unit);
@@ -521,16 +507,9 @@ impl SatSolver {
         }
     }
 
-    fn assumption_core(&self, _failed: Lit, assumptions: &[Lit]) -> Vec<Lit> {
-        // Conservative core: all assumptions assigned so far.
-        assumptions
-            .iter()
-            .copied()
-            .filter(|a| !matches!(self.value(*a), Value::Unassigned))
-            .collect()
-    }
-
-    fn conflict_assumptions(&self, _conflict: usize, assumptions: &[Lit]) -> Vec<Lit> {
+    /// Conservative core of a conflict under assumptions: every
+    /// assumption assigned so far.
+    fn assumption_core(&self, assumptions: &[Lit]) -> Vec<Lit> {
         assumptions
             .iter()
             .copied()
@@ -626,6 +605,23 @@ mod tests {
                 assert!(m[2]);
             }
             _ => panic!("expected sat"),
+        }
+    }
+
+    #[test]
+    fn implied_assumption_opens_no_decision_level() {
+        // `b` implies `a`, so assuming `[b, a]` opens one level, not two.
+        // The first real decision (¬x) then conflicts at level 2, which
+        // must be resolved by search rather than reported as a conflict
+        // among the assumptions.
+        let (b, a, x, y) = (0, 1, 2, 3);
+        let mut s = SatSolver::new();
+        s.add_clause(vec![lit(b, false), lit(a, true)]);
+        s.add_clause(vec![lit(x, true), lit(y, true)]);
+        s.add_clause(vec![lit(x, true), lit(y, false)]);
+        match s.solve_with_assumptions(&[lit(b, true), lit(a, true)]) {
+            SatResult::Sat(m) => assert!(m[b] && m[a] && m[x]),
+            other => panic!("expected sat, got {other:?}"),
         }
     }
 

@@ -155,7 +155,7 @@ pub struct Smt {
     lemma_sink: Option<crate::lemmas::SharedLemmaStore>,
     /// When true (the default), each DPLL(T) query keeps one warm
     /// [`IncrementalLia`] tableau across all of its theory checks
-    /// (including core shrinking and MUS subset oracles). When false,
+    /// (including MUS subset oracles). When false,
     /// every theory check builds a fresh from-scratch [`LiaSolver`] —
     /// the `without_incremental_lia` ablation baseline.
     incremental_lia: bool,
@@ -525,8 +525,8 @@ impl Smt {
     /// solver loaded with the skeletons, side conditions, bound-
     /// implication axioms and replayed lemmas, plus (when the incremental
     /// LIA path is on) one warm simplex tableau that will serve *every*
-    /// theory check issued through this session — main-loop checks, core
-    /// shrinking, and MUS subset oracles alike.
+    /// theory check issued through this session — main-loop checks and
+    /// MUS subset oracles alike.
     pub(crate) fn begin_session(
         &mut self,
         problem: &Encoded,
@@ -713,22 +713,21 @@ impl Smt {
                     SatResult::Sat(model) => model,
                 }
             };
-            // Collect the arithmetic literals implied by the boolean model.
-            let mut literals: Vec<(usize, bool, crate::lia::Constraint)> = Vec::new();
+            // Collect the arithmetic literals implied by the boolean model:
+            // `literals[i]` is the atom and polarity behind `constraints[i]`.
+            let mut literals: Vec<(usize, bool)> = Vec::new();
+            let mut constraints = Vec::new();
             for (idx, atom) in problem.atoms.iter().enumerate() {
                 let value = model.get(idx).copied().unwrap_or(false);
                 if let TheoryAtom::Compare(_, _, _) = atom {
                     if let Some(c) = problem.atom_constraint(idx, value) {
-                        literals.push((idx, value, c));
+                        literals.push((idx, value));
+                        constraints.push(c);
                     }
                 }
             }
             self.stats.theory_calls += 1;
-            let constraints: Vec<_> = literals.iter().map(|(_, _, c)| c.clone()).collect();
             let verdict = {
-                // The `Lia` phase counts only these first checks of the
-                // DPLL(T) loop; theory checks issued while shrinking a
-                // conflict are attributed to `CoreShrink` below.
                 let _lia_span = synquid_telemetry::span(Phase::Lia);
                 self.theory_check(session, problem.num_arith_vars, &constraints)
             };
@@ -744,68 +743,34 @@ impl Smt {
                     }
                     return SmtResult::Unknown;
                 }
-                LiaResult::Unsat => {
-                    if literals.is_empty() {
-                        return SmtResult::Unsat;
-                    }
-                    // Shrink the conflicting literal set to a small core by
-                    // chunked deletion so the blocking clause prunes many
-                    // boolean models at once. Whole blocks are dropped
-                    // first, halving the block size on failure, so a core
-                    // of size k hiding in n literals costs O(k log n)
-                    // theory checks instead of the O(n) of one-at-a-time
-                    // deletion — on measure-heavy synthesis queries the
-                    // conflict sets run to dozens of literals, and this
-                    // shrink loop dominates query time. Every shrink check
-                    // runs against the same warm tableau.
-                    // The whole shrink (including its theory checks) is
-                    // one `CoreShrink` span — matching how solver cost
-                    // was profiled by hand before this instrumentation.
-                    let _shrink_span = synquid_telemetry::span(Phase::CoreShrink);
-                    let mut core = literals;
-                    let mut block = core.len().div_ceil(2);
-                    loop {
-                        if self.interrupt_requested() {
-                            self.interrupted = true;
-                            return SmtResult::Unknown;
-                        }
-                        let mut i = 0;
-                        while i < core.len() {
-                            // Each pass issues up to `core.len()` LIA
-                            // checks; poll between them, not just per
-                            // pass, so the budget overshoot stays
-                            // bounded by one check.
-                            if self.interrupt_requested() {
-                                self.interrupted = true;
-                                return SmtResult::Unknown;
-                            }
-                            let end = (i + block).min(core.len());
-                            let mut candidate = core.clone();
-                            candidate.drain(i..end);
-                            let cs: Vec<_> = candidate.iter().map(|(_, _, c)| c.clone()).collect();
-                            self.stats.theory_calls += 1;
-                            if matches!(
-                                self.theory_check(session, problem.num_arith_vars, &cs),
-                                LiaResult::Unsat
-                            ) {
-                                core = candidate;
-                            } else {
-                                i = end;
-                            }
-                        }
-                        if block == 1 {
-                            break;
-                        }
-                        block = block.div_ceil(2);
-                    }
-                    // Persist the shrunk conflict for later queries: the
+                LiaResult::Unsat(core) => {
+                    // The simplex explains its conflict: `core` indexes the
+                    // literals behind the failing row, bound clash or
+                    // branch-and-bound subtree, and is blocked and learned
+                    // as is. On the debug re-check, a budget `Unknown` is
+                    // not a counterexample; a model is.
+                    debug_assert!(
+                        !matches!(
+                            LiaSolver::new().check(
+                                problem.num_arith_vars,
+                                &core
+                                    .iter()
+                                    .map(|&i| constraints[i].clone())
+                                    .collect::<Vec<_>>()
+                            ),
+                            LiaResult::Sat(_)
+                        ),
+                        "LIA conflict core is satisfiable on its own"
+                    );
+                    let core: Vec<(usize, bool)> = core.into_iter().map(|i| literals[i]).collect();
+                    // Persist the conflict for later queries: the
                     // core's atoms at these polarities are jointly
                     // LIA-inconsistent whatever boolean skeleton
                     // surrounds them.
                     if let Some(store) = &mut self.lemmas {
                         let lemma: Option<Vec<(String, bool)>> = core
                             .iter()
-                            .map(|(idx, value, _)| {
+                            .map(|(idx, value)| {
                                 session
                                     .atom_keys
                                     .get(*idx)
@@ -831,7 +796,7 @@ impl Smt {
                     }
                     let blocking: Vec<Lit> = core
                         .iter()
-                        .map(|(idx, value, _)| Lit::new(*idx, !*value))
+                        .map(|(idx, value)| Lit::new(*idx, !*value))
                         .collect();
                     if blocking.is_empty() {
                         return SmtResult::Unsat;

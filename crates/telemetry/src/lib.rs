@@ -64,10 +64,11 @@ pub enum Phase {
     Sat,
     /// LIA (simplex + branch&bound) checks of the main DPLL(T) loop.
     Lia,
-    /// Unsat-core shrinking and MUS enumeration (chunked deletion, MARCO).
-    /// This phase is attributed *inclusively* of the theory checks issued
-    /// while shrinking — matching how the solver's cost was historically
-    /// profiled — so `Lia` counts only main-loop first checks.
+    /// MUS enumeration (MARCO): the map solver and the seed grow/shrink
+    /// bookkeeping. Self-time like every other phase: the subset oracle's
+    /// SAT and LIA checks land in `Sat` and `Lia`. The name is kept from
+    /// when DPLL(T) shrank theory conflicts by re-solving subsets; the
+    /// simplex now explains each conflict itself, inside `Lia`.
     CoreShrink,
     /// Validity-cache probes (local memo + shared cache).
     CacheLookup,
