@@ -11,9 +11,11 @@
 //! * **Figure 7** — synthesis time versus `n` for `max_n` and
 //!   `array_search_n`.
 //!
-//! The `report` binary prints these tables; the Criterion benches under
-//! `benches/` time a representative subset for regression tracking. The
-//! binary's `batch` subcommand additionally runs the whole `specs/`
+//! Every run goes through the parallel engine: the Table 1, Table 2 and
+//! Fig. 7 reports give each goal a one-rung ladder at its fixed
+//! exploration bounds on a cold session, so each measurement starts from
+//! empty caches. The `report` binary prints these tables; its `batch`
+//! subcommand additionally runs the whole `specs/`
 //! corpus through the parallel engine and emits a machine-readable
 //! timing report ([`batch_report_json`], uploaded by CI as
 //! `BENCH_pr7.json`), the markdown corpus table embedded in the README
@@ -22,10 +24,11 @@
 //! regressed to a timeout).
 
 use std::time::Duration;
-use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, SynthesisSession};
+use synquid_core::Goal;
+use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, RunResult, SynthesisSession};
 use synquid_lang::benchmarks::{sygus, table1, table2, Benchmark};
 pub use synquid_lang::runner::goal_label;
-use synquid_lang::runner::{run_goal, RunResult, Variant};
+use synquid_lang::runner::Variant;
 use synquid_telemetry::PhaseProfile;
 
 pub mod fixtures;
@@ -48,6 +51,37 @@ pub struct Table1Row {
     pub results: Option<Vec<(Variant, RunResult)>>,
 }
 
+/// Runs one goal through the engine at fixed exploration bounds: a
+/// one-rung ladder on a cold session, under `variant`'s configuration.
+fn run_at_bounds(
+    goal: Goal,
+    variant: Variant,
+    timeout: Duration,
+    bounds: (usize, usize),
+) -> RunResult {
+    let engine = Engine::new(EngineConfig {
+        jobs: 1,
+        timeout,
+        rungs: vec![bounds],
+        base: variant.config(timeout, bounds),
+        ..EngineConfig::default()
+    });
+    let mut report = engine.run(vec![GoalJob::new("report", goal)]);
+    report.outcomes.remove(0).result
+}
+
+/// Loads a Table 1 row's goal from its specification (`None` for rows
+/// not transcribed).
+///
+/// # Panics
+///
+/// If the specification does not load: the specs are part of the
+/// repository, so that is a broken checkout, not a measurement.
+fn row_goal(bench: &Benchmark) -> Option<Goal> {
+    let goal = bench.load_goal()?;
+    Some(goal.unwrap_or_else(|e| panic!("{} / {}: {e}", bench.group, bench.name)))
+}
+
 /// Runs (the transcribed subset of) Table 1.
 ///
 /// `timeout` bounds each individual synthesis run; `ablations` selects
@@ -62,13 +96,12 @@ pub fn run_table1(timeout: Duration, ablations: bool) -> Vec<Table1Row> {
     table1()
         .into_iter()
         .map(|benchmark| {
-            let results = benchmark.goal.map(|build| {
+            let results = row_goal(&benchmark).map(|goal| {
                 variants
                     .iter()
-                    .map(|variant| {
-                        let goal = build();
-                        let config = variant.config(timeout, benchmark.bounds);
-                        (*variant, run_goal(&goal, config))
+                    .map(|v| {
+                        let result = run_at_bounds(goal.clone(), *v, timeout, benchmark.bounds);
+                        (*v, result)
                     })
                     .collect()
             });
@@ -128,14 +161,14 @@ pub fn run_table2(timeout: Duration) -> Vec<Table2Row> {
     table2()
         .into_iter()
         .map(|row| {
-            let measured = row
-                .table1_name
-                .and_then(|name| t1.iter().find(|b| b.name == name))
-                .and_then(|b| b.goal.map(|build| (b, build)))
-                .map(|(b, build)| {
-                    let goal = build();
-                    run_goal(&goal, Variant::Default.config(timeout, b.bounds))
-                });
+            let measured = row.table1_row(&t1).and_then(|b| {
+                Some(run_at_bounds(
+                    row_goal(b)?,
+                    Variant::Default,
+                    timeout,
+                    b.bounds,
+                ))
+            });
             Table2Row { row, measured }
         })
         .collect()
@@ -189,8 +222,7 @@ pub fn run_fig7(max_n: usize, timeout: Duration) -> Vec<Fig7Point> {
     sygus(max_n)
         .into_iter()
         .map(|(name, n, goal)| {
-            let bounds = (1, 0);
-            let result = run_goal(&goal, Variant::Default.config(timeout, bounds));
+            let result = run_at_bounds(goal, Variant::Default, timeout, (1, 0));
             Fig7Point { name, n, result }
         })
         .collect()

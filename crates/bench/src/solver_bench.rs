@@ -7,9 +7,8 @@
 //! * **smoke mode** (`report solver-bench --smoke`, used by CI): a few
 //!   iterations per fixture, verdicts asserted, artifact written — a
 //!   dependency-free regression canary that finishes in seconds;
-//! * **criterion mode** (`cargo bench -p synquid-bench --features
-//!   criterion` after uncommenting the dev-dependency): statistically
-//!   rigorous timing of the same fixtures, for local investigation.
+//! * **full mode** (`report solver-bench --iters N`): more iterations of
+//!   the same fixtures, for local investigation.
 //!
 //! Every iteration rebuilds the formula and a fresh [`Smt`] instance, so
 //! measurements never benefit from the validity cache or the lemma store

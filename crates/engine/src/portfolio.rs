@@ -44,9 +44,9 @@
 //! goal's total consumption — never a scrap measured by the last
 //! unluckiest rung.
 
+use crate::runner::RunResult;
 use std::time::Duration;
 use synquid_core::{CancellationToken, SynthesisStats};
-use synquid_lang::runner::RunResult;
 
 /// The default exploration-bound ladder `(application depth, match
 /// depth)`, shallowest first — the same rungs the sequential CLI used.

@@ -26,12 +26,12 @@
 //! wall-clock finish order.
 
 use crate::portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
+use crate::runner::{run_goal_in_context, RunResult};
 use crate::session::{LibraryFingerprint, SessionCaches, SessionStats, SynthesisSession};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use synquid_core::{Goal, SolverContext, SynthesisConfig};
-use synquid_lang::runner::{run_goal_in_context, RunResult};
 use synquid_solver::{LemmaSeed, ValidityCacheStats};
 use synquid_telemetry::{events, events::Event};
 

@@ -2,35 +2,26 @@
 //!
 //! [`table1`] lists all 64 synthesis problems of Table 1 with their group,
 //! the component set description, and the synthesis time reported in the
-//! paper (`T-all`, seconds). For the subset of benchmarks whose
-//! specifications have been transcribed into this reproduction, the entry
-//! carries a [`Goal`] builder; the remaining entries are kept so that the
-//! reproduction honestly reports coverage instead of silently shrinking
-//! the table.
+//! paper (`T-all`, seconds). A transcribed row names its `.sq`
+//! specification under `specs/`, and [`Benchmark::load_goal`] loads the
+//! goal from it; the remaining rows are kept so that the reproduction
+//! honestly reports coverage instead of silently shrinking the table.
 //!
 //! [`table2`] lists the cross-tool comparison of Table 2 (competitor
 //! numbers are quoted from the paper, the Synquid column is measured by
 //! the harness), and [`sygus`] generates the `max_n` / `array_search_n`
-//! family of Fig. 7.
+//! family of Fig. 7 — the one part of the suite built in Rust, because
+//! it is parameterised by `n`.
 
-use crate::components::{
-    add_bool_components, add_comparison_components, add_int_constants, base_environment,
-    bst_environment, bst_type, elems_of, ilist_type, len_of, list_environment, list_type,
-    sorting_environment,
-};
-use crate::goals::{
-    goal_heap_insert, goal_heap_member, goal_heap_singleton, goal_heap_two, goal_insert_at_end,
-    goal_list_delete, goal_list_member, goal_make_address_book, goal_map, goal_merge,
-    goal_merge_address_books, goal_remove_duplicates, goal_reverse, goal_sorted_head,
-    goal_strict_delete, goal_strict_insert, goal_take, goal_tree_count, goal_tree_member,
-    goal_tree_preorder, goal_unique_delete, goal_unique_insert,
-};
+use crate::components::{add_comparison_components, add_int_constants, base_environment};
+use crate::spec::{corpus_dir, load_file};
+use std::error::Error;
 use synquid_core::Goal;
 use synquid_logic::{Sort, Term};
 use synquid_types::{BaseType, RType, Schema};
 
 /// One row of Table 1.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Benchmark {
     /// Benchmark name as it appears in the paper.
     pub name: &'static str,
@@ -42,18 +33,27 @@ pub struct Benchmark {
     pub paper_code_size: usize,
     /// Exploration bounds `(application depth, match depth)`.
     pub bounds: (usize, usize),
-    /// Goal builder, for benchmarks transcribed into this reproduction.
-    pub goal: Option<fn() -> Goal>,
+    /// The row's `.sq` specification, relative to the `specs/`
+    /// directory; `None` for rows not transcribed.
+    pub spec: Option<&'static str>,
 }
 
-impl std::fmt::Debug for Benchmark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Benchmark")
-            .field("name", &self.name)
-            .field("group", &self.group)
-            .field("transcribed", &self.goal.is_some())
-            .finish()
+impl Benchmark {
+    /// Loads the goal of a transcribed row: the one goal its
+    /// specification declares (`None` for rows not transcribed).
+    pub fn load_goal(&self) -> Option<Result<Goal, Box<dyn Error>>> {
+        self.spec.map(load_single_goal)
     }
+}
+
+/// Loads a spec (relative to `specs/`) that must declare exactly one goal.
+fn load_single_goal(spec: &str) -> Result<Goal, Box<dyn Error>> {
+    let dir = corpus_dir().ok_or("specs/ directory not found")?;
+    let mut goals = load_file(dir.join(spec))?.goals;
+    if goals.len() != 1 {
+        return Err(format!("specs/{spec} declares {} goals, expected one", goals.len()).into());
+    }
+    Ok(goals.remove(0))
 }
 
 fn nu_int() -> Term {
@@ -61,233 +61,6 @@ fn nu_int() -> Term {
 }
 fn ivar(n: &str) -> Term {
     Term::var(n, Sort::Int)
-}
-fn list_sort(elem: Sort) -> Sort {
-    Sort::Data("List".into(), vec![elem])
-}
-fn avar(n: &str) -> Term {
-    Term::var(n, Sort::var("a"))
-}
-
-// ---------------------------------------------------------------------
-// Transcribed goals
-// ---------------------------------------------------------------------
-
-fn goal_replicate() -> Goal {
-    // replicate :: n: Nat → x: α → {List α | len ν = n}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(list_sort(Sort::var("a")))).eq(ivar("n")),
-    );
-    let ty = RType::fun_n(
-        vec![("n".into(), RType::nat()), ("x".into(), RType::tyvar("a"))],
-        ret,
-    );
-    Goal::new("replicate", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_is_empty() -> Goal {
-    // is_empty :: xs: List α → {Bool | ν ⇔ len xs = 0}
-    let mut env = list_environment();
-    add_bool_components(&mut env);
-    let ret = RType::refined(
-        BaseType::Bool,
-        Term::value_var(Sort::Bool)
-            .iff(len_of(Term::var("xs", list_sort(Sort::var("a")))).eq(Term::int(0))),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("is_empty", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_append() -> Goal {
-    // append :: xs: List α → ys: List α →
-    //   {List α | len ν = len xs + len ys ∧ elems ν = elems xs + elems ys}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let es = Sort::var("a");
-    let nu = Term::value_var(ls.clone());
-    let xs = Term::var("xs", ls.clone());
-    let ys = Term::var("ys", ls.clone());
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(nu.clone())
-            .eq(len_of(xs.clone()).plus(len_of(ys.clone())))
-            .and(elems_of(nu, es.clone()).eq(elems_of(xs, es.clone()).union(elems_of(ys, es)))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("xs".into(), list_type(RType::tyvar("a"))),
-            ("ys".into(), list_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("append", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_duplicate_each() -> Goal {
-    // double :: xs: List α → {List α | len ν = len xs + len xs}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone()))
-            .eq(len_of(Term::var("xs", ls.clone())).plus(len_of(Term::var("xs", ls)))),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("double", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_drop() -> Goal {
-    // drop :: n: Nat → xs: {List α | len ν ≥ n} → {List α | len ν = len xs - n}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ls = list_sort(Sort::var("a"));
-    let arg = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone())).ge(ivar("n")),
-    );
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone())).eq(len_of(Term::var("xs", ls)).minus(ivar("n"))),
-    );
-    let ty = RType::fun_n(vec![("n".into(), RType::nat()), ("xs".into(), arg)], ret);
-    Goal::new("drop", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_length() -> Goal {
-    // length :: xs: List α → {Int | ν = len xs}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(BaseType::Int, nu_int().eq(len_of(Term::var("xs", ls))));
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("length", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_stutter_head() -> Goal {
-    // head-or-default (delete value stand-in within the List group is not
-    // transcribed); this benchmark corresponds to "i-th element" simplified
-    // to the first element with a default:
-    // elem_or :: d: α → xs: List α → {α | len xs = 0 ⇒ ν = d}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(
-        BaseType::TypeVar("a".into()),
-        len_of(Term::var("xs", ls))
-            .eq(Term::int(0))
-            .implies(Term::value_var(Sort::var("a")).eq(avar("d"))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("d".into(), RType::tyvar("a")),
-            ("xs".into(), list_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("elem_or_default", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_insert_sorted() -> Goal {
-    // insert (sorted) :: x: α → xs: IList α →
-    //   {IList α | ielems ν = ielems xs + [x]}
-    let env = sorting_environment();
-    let is = Sort::Data("IList".into(), vec![Sort::var("a")]);
-    let es = Sort::var("a");
-    let ielems = |t: Term| Term::app("ielems", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is.clone()))
-            .eq(ielems(Term::var("xs", is.clone())).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("xs".into(), ilist_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("insert_sorted", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_insertion_sort() -> Goal {
-    // sort :: xs: List α → {IList α | ielems ν = elems xs}
-    // with insert (sorted) provided as a component.
-    let mut env = sorting_environment();
-    let es = Sort::var("a");
-    let is = Sort::Data("IList".into(), vec![es.clone()]);
-    let ielems = |t: Term| Term::app("ielems", vec![t], Sort::set(es.clone()));
-    // Component: insert :: x: α → xs: IList α → {IList α | ielems ν = ielems xs + [x]}
-    let insert_ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is.clone()))
-            .eq(ielems(Term::var("xs", is.clone())).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    env.add_var(
-        "insert",
-        Schema::forall(
-            vec!["a".into()],
-            RType::fun_n(
-                vec![
-                    ("x".into(), RType::tyvar("a")),
-                    ("xs".into(), ilist_type(RType::tyvar("a"))),
-                ],
-                insert_ret,
-            ),
-        ),
-    );
-    let ls = list_sort(es.clone());
-    let ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is)).eq(elems_of(Term::var("xs", ls), es)),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("insertion_sort", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_bst_member() -> Goal {
-    // member :: x: α → t: BST α → {Bool | ν ⇔ x ∈ keys t}
-    let env = bst_environment();
-    let es = Sort::var("a");
-    let bs = Sort::Data("BST".into(), vec![es.clone()]);
-    let keys = |t: Term| Term::app("keys", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Bool,
-        Term::value_var(Sort::Bool).iff(avar("x").member(keys(Term::var("t", bs)))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("t".into(), bst_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("bst_member", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_bst_insert() -> Goal {
-    // insert :: x: α → t: BST α → {BST α | keys ν = keys t + [x]}
-    let env = bst_environment();
-    let es = Sort::var("a");
-    let bs = Sort::Data("BST".into(), vec![es.clone()]);
-    let keys = |t: Term| Term::app("keys", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Data("BST".into(), vec![RType::tyvar("a")]),
-        keys(Term::value_var(bs.clone()))
-            .eq(keys(Term::var("t", bs)).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("t".into(), bst_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("bst_insert", env, Schema::forall(vec!["a".into()], ty))
 }
 
 // ---------------------------------------------------------------------
@@ -368,7 +141,7 @@ pub fn sygus(max_n_param: usize) -> Vec<(String, usize, Goal)> {
 // Table 1
 // ---------------------------------------------------------------------
 
-/// All 64 rows of Table 1. `goal` is `Some` for the transcribed subset.
+/// All 64 rows of Table 1. `spec` is `Some` for the transcribed subset.
 pub fn table1() -> Vec<Benchmark> {
     fn row(
         group: &'static str,
@@ -376,7 +149,7 @@ pub fn table1() -> Vec<Benchmark> {
         paper_time: f64,
         paper_code_size: usize,
         bounds: (usize, usize),
-        goal: Option<fn() -> Goal>,
+        spec: Option<&'static str>,
     ) -> Benchmark {
         Benchmark {
             name,
@@ -384,35 +157,28 @@ pub fn table1() -> Vec<Benchmark> {
             paper_time,
             paper_code_size,
             bounds,
-            goal,
+            spec,
         }
     }
     vec![
-        row("List", "is empty", 0.02, 6, (1, 1), Some(goal_is_empty)),
-        row(
-            "List",
-            "is member",
-            0.11,
-            18,
-            (2, 1),
-            Some(goal_list_member),
-        ),
+        row("List", "is empty", 0.02, 6, (1, 1), Some("is_empty.sq")),
+        row("List", "is member", 0.11, 18, (2, 1), Some("elem.sq")),
         row(
             "List",
             "duplicate each element",
             0.05,
             16,
             (3, 1),
-            Some(goal_duplicate_each),
+            Some("double.sq"),
         ),
-        row("List", "replicate", 0.05, 21, (3, 0), Some(goal_replicate)),
+        row("List", "replicate", 0.05, 21, (3, 0), Some("replicate.sq")),
         row(
             "List",
             "append two lists",
             0.15,
             15,
             (3, 1),
-            Some(goal_append),
+            Some("append.sq"),
         ),
         row("List", "concatenate list of lists", 0.05, 12, (3, 1), None),
         row(
@@ -421,7 +187,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.12,
             27,
             (2, 1),
-            Some(goal_take),
+            Some("take.sq"),
         ),
         row(
             "List",
@@ -429,17 +195,10 @@ pub fn table1() -> Vec<Benchmark> {
             0.10,
             20,
             (2, 1),
-            Some(goal_drop),
+            Some("drop.sq"),
         ),
-        row(
-            "List",
-            "delete value",
-            0.10,
-            26,
-            (3, 1),
-            Some(goal_list_delete),
-        ),
-        row("List", "map", 0.03, 22, (3, 1), Some(goal_map)),
+        row("List", "delete value", 0.10, 26, (3, 1), Some("delete.sq")),
+        row("List", "map", 0.03, 22, (3, 1), Some("table1/map.sq")),
         row("List", "zip", 0.08, 22, (3, 2), None),
         row("List", "zip with function", 0.07, 33, (3, 2), None),
         row("List", "cartesian product", 0.30, 26, (3, 1), None),
@@ -449,7 +208,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.05,
             20,
             (2, 1),
-            Some(goal_stutter_head),
+            Some("table1/elem_or_default.sq"),
         ),
         row("List", "index of element", 0.08, 20, (3, 1), None),
         row(
@@ -458,9 +217,9 @@ pub fn table1() -> Vec<Benchmark> {
             0.10,
             19,
             (3, 1),
-            Some(goal_insert_at_end),
+            Some("insert_at_end.sq"),
         ),
-        row("List", "reverse", 0.09, 12, (3, 1), Some(goal_reverse)),
+        row("List", "reverse", 0.09, 12, (3, 1), Some("reverse.sq")),
         row("List", "foldr", 0.10, 32, (3, 1), None),
         row(
             "List",
@@ -468,7 +227,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.03,
             17,
             (2, 1),
-            Some(goal_length),
+            Some("length.sq"),
         ),
         row("List", "append using fold", 0.04, 20, (3, 0), None),
         row(
@@ -477,7 +236,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.27,
             26,
             (2, 1),
-            Some(goal_unique_insert),
+            Some("table1/unique_insert.sq"),
         ),
         row(
             "Unique list",
@@ -485,7 +244,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.18,
             22,
             (2, 1),
-            Some(goal_unique_delete),
+            Some("table1/unique_delete.sq"),
         ),
         row(
             "Unique list",
@@ -493,7 +252,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.36,
             47,
             (2, 1),
-            Some(goal_remove_duplicates),
+            Some("table1/remove_duplicates.sq"),
         ),
         row(
             "Unique list",
@@ -510,7 +269,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.18,
             41,
             (2, 1),
-            Some(goal_strict_insert),
+            Some("table1/strict_insert.sq"),
         ),
         row(
             "Strictly sorted list",
@@ -518,7 +277,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.10,
             29,
             (2, 1),
-            Some(goal_strict_delete),
+            Some("table1/strict_delete.sq"),
         ),
         row("Strictly sorted list", "intersect", 0.33, 40, (3, 2), None),
         row(
@@ -527,7 +286,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.25,
             34,
             (3, 1),
-            Some(goal_insert_sorted),
+            Some("insert_sorted.sq"),
         ),
         row(
             "Sorting",
@@ -535,7 +294,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.06,
             12,
             (2, 1),
-            Some(goal_insertion_sort),
+            Some("table1/insertion_sort.sq"),
         ),
         row("Sorting", "sort by folding", 2.14, 47, (3, 1), None),
         row(
@@ -544,11 +303,18 @@ pub fn table1() -> Vec<Benchmark> {
             4.28,
             40,
             (2, 1),
-            Some(goal_sorted_head),
+            Some("table1/sorted_head.sq"),
         ),
         row("Sorting", "selection sort", 0.49, 16, (3, 1), None),
         row("Sorting", "balanced split", 0.96, 33, (3, 2), None),
-        row("Sorting", "merge", 2.19, 41, (2, 1), Some(goal_merge)),
+        row(
+            "Sorting",
+            "merge",
+            2.19,
+            41,
+            (2, 1),
+            Some("table1/merge.sq"),
+        ),
         row("Sorting", "merge sort", 2.10, 25, (3, 2), None),
         row("Sorting", "partition", 2.84, 40, (3, 2), None),
         row("Sorting", "append with pivot", 0.22, 22, (3, 1), None),
@@ -559,7 +325,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.29,
             28,
             (2, 1),
-            Some(goal_tree_member),
+            Some("tree_member.sq"),
         ),
         row(
             "Tree",
@@ -567,7 +333,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.20,
             18,
             (2, 1),
-            Some(goal_tree_count),
+            Some("tree_count.sq"),
         ),
         row(
             "Tree",
@@ -575,11 +341,11 @@ pub fn table1() -> Vec<Benchmark> {
             0.21,
             18,
             (2, 1),
-            Some(goal_tree_preorder),
+            Some("table1/tree_preorder.sq"),
         ),
         row("Tree", "create balanced", 0.14, 29, (3, 1), None),
-        row("BST", "is member", 0.09, 37, (2, 1), Some(goal_bst_member)),
-        row("BST", "insert", 0.91, 55, (3, 1), Some(goal_bst_insert)),
+        row("BST", "is member", 0.09, 37, (2, 1), Some("bst_member.sq")),
+        row("BST", "insert", 0.91, 55, (3, 1), Some("bst_insert.sq")),
         row("BST", "delete", 5.68, 68, (3, 2), None),
         row("BST", "BST sort", 1.38, 115, (3, 2), None),
         row(
@@ -588,7 +354,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.38,
             43,
             (2, 1),
-            Some(goal_heap_member),
+            Some("table1/heap_member.sq"),
         ),
         row(
             "Binary Heap",
@@ -596,7 +362,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.51,
             55,
             (2, 1),
-            Some(goal_heap_insert),
+            Some("table1/heap_insert.sq"),
         ),
         row(
             "Binary Heap",
@@ -604,7 +370,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.02,
             8,
             (1, 0),
-            Some(goal_heap_singleton),
+            Some("heap_singleton.sq"),
         ),
         row(
             "Binary Heap",
@@ -612,7 +378,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.08,
             55,
             (2, 0),
-            Some(goal_heap_two),
+            Some("table1/heap_two.sq"),
         ),
         row(
             "Binary Heap",
@@ -638,7 +404,7 @@ pub fn table1() -> Vec<Benchmark> {
             0.62,
             35,
             (2, 1),
-            Some(goal_make_address_book),
+            Some("table1/make_address_book.sq"),
         ),
         row(
             "User",
@@ -646,14 +412,14 @@ pub fn table1() -> Vec<Benchmark> {
             0.35,
             19,
             (2, 1),
-            Some(goal_merge_address_books),
+            Some("table1/merge_address_books.sq"),
         ),
     ]
 }
 
 /// The benchmarks of Table 1 whose specifications have been transcribed.
 pub fn transcribed() -> Vec<Benchmark> {
-    table1().into_iter().filter(|b| b.goal.is_some()).collect()
+    table1().into_iter().filter(|b| b.spec.is_some()).collect()
 }
 
 /// One row of Table 2 (comparison with other synthesizers). Competitor
@@ -672,8 +438,18 @@ pub struct ComparisonRow {
     pub synquid_spec: usize,
     /// Synquid time reported in the paper (seconds).
     pub synquid_time: f64,
-    /// The corresponding benchmark in [`table1`] (by name), if transcribed.
-    pub table1_name: Option<&'static str>,
+    /// The specification of the corresponding [`table1`] row, if
+    /// transcribed. Rows are linked by spec path because row names
+    /// repeat across Table 1 groups ("is member", "insert").
+    pub table1_spec: Option<&'static str>,
+}
+
+impl ComparisonRow {
+    /// The Table 1 row this comparison measures, looked up in `rows`.
+    pub fn table1_row<'a>(&self, rows: &'a [Benchmark]) -> Option<&'a Benchmark> {
+        let spec = self.table1_spec?;
+        rows.iter().find(|b| b.spec == Some(spec))
+    }
 }
 
 /// All 18 rows of Table 2.
@@ -685,7 +461,7 @@ pub fn table2() -> Vec<ComparisonRow> {
         competitor_time: f64,
         synquid_spec: usize,
         synquid_time: f64,
-        table1_name: Option<&'static str>,
+        table1_spec: Option<&'static str>,
     ) -> ComparisonRow {
         ComparisonRow {
             tool,
@@ -694,7 +470,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             competitor_time,
             synquid_spec,
             synquid_time,
-            table1_name,
+            table1_spec,
         }
     }
     vec![
@@ -705,7 +481,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             15.1,
             8,
             0.10,
-            None,
+            Some("table1/strict_delete.sq"),
         ),
         row(
             "Leon",
@@ -714,7 +490,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             14.1,
             8,
             0.18,
-            None,
+            Some("table1/strict_insert.sq"),
         ),
         row("Leon", "merge sort", Some(9), 14.3, 11, 2.1, None),
         row(
@@ -724,7 +500,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             64.8,
             6,
             0.09,
-            Some("is member"),
+            Some("bst_member.sq"),
         ),
         row(
             "Jennisys",
@@ -733,9 +509,17 @@ pub fn table2() -> Vec<ComparisonRow> {
             61.6,
             5,
             0.02,
-            None,
+            Some("heap_singleton.sq"),
         ),
-        row("Jennisys", "bin. heap find", Some(76), 51.9, 6, 0.38, None),
+        row(
+            "Jennisys",
+            "bin. heap find",
+            Some(76),
+            51.9,
+            6,
+            0.38,
+            Some("table1/heap_member.sq"),
+        ),
         row(
             "Myth",
             "sorted list insert",
@@ -743,7 +527,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.12,
             8,
             0.25,
-            Some("insert (sorted)"),
+            Some("insert_sorted.sq"),
         ),
         row(
             "Myth",
@@ -761,7 +545,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.37,
             8,
             0.91,
-            Some("insert"),
+            Some("bst_insert.sq"),
         ),
         row(
             "Lambda2",
@@ -770,7 +554,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             231.0,
             13,
             0.36,
-            None,
+            Some("table1/remove_duplicates.sq"),
         ),
         row(
             "Lambda2",
@@ -779,9 +563,17 @@ pub fn table2() -> Vec<ComparisonRow> {
             316.4,
             11,
             0.1,
-            Some("drop first n elements"),
+            Some("drop.sq"),
         ),
-        row("Lambda2", "tree find", Some(12), 4.7, 6, 0.29, None),
+        row(
+            "Lambda2",
+            "tree find",
+            Some(12),
+            4.7,
+            6,
+            0.29,
+            Some("tree_member.sq"),
+        ),
         row("Escher", "list rm adjacent dupl.", None, 1.0, 5, 1.33, None),
         row("Escher", "tree create balanced", None, 0.24, 7, 0.14, None),
         row(
@@ -791,9 +583,17 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.16,
             7,
             0.05,
-            Some("duplicate each element"),
+            Some("double.sq"),
         ),
-        row("Myth2", "BST insert", None, 1.81, 8, 0.91, Some("insert")),
+        row(
+            "Myth2",
+            "BST insert",
+            None,
+            1.81,
+            8,
+            0.91,
+            Some("bst_insert.sq"),
+        ),
         row(
             "Myth2",
             "sorted list insert",
@@ -801,9 +601,17 @@ pub fn table2() -> Vec<ComparisonRow> {
             1.02,
             8,
             0.25,
-            Some("insert (sorted)"),
+            Some("insert_sorted.sq"),
         ),
-        row("Myth2", "tree count nodes", None, 0.45, 4, 0.20, None),
+        row(
+            "Myth2",
+            "tree count nodes",
+            None,
+            0.45,
+            4,
+            0.20,
+            Some("tree_count.sq"),
+        ),
     ]
 }
 
@@ -830,7 +638,10 @@ mod tests {
             t.len()
         );
         for b in &t {
-            let goal = (b.goal.unwrap())();
+            let goal = b
+                .load_goal()
+                .expect("transcribed rows name a spec")
+                .unwrap_or_else(|e| panic!("{}/{}: {e}", b.group, b.name));
             assert!(!goal.name.is_empty());
         }
     }
@@ -839,6 +650,38 @@ mod tests {
     fn table2_has_all_18_rows() {
         assert_eq!(table2().len(), 18);
         assert_eq!(table2().iter().filter(|r| r.tool == "Leon").count(), 3);
+    }
+
+    #[test]
+    fn table2_links_resolve_to_exactly_one_table1_row() {
+        let rows = table1();
+        let linked: Vec<ComparisonRow> = table2()
+            .into_iter()
+            .filter(|r| r.table1_spec.is_some())
+            .collect();
+        assert!(linked.len() >= 5);
+        for r in &linked {
+            let matching = rows.iter().filter(|b| b.spec == r.table1_spec).count();
+            assert_eq!(
+                matching, 1,
+                "{} / {} links to {matching} Table 1 rows",
+                r.tool, r.benchmark
+            );
+        }
+        // Row names repeat across groups ("is member", "insert"): the BST
+        // comparisons must measure the BST goals, not List or Unique list.
+        for (tool, benchmark, name) in [
+            ("Jennisys", "BST find", "is member"),
+            ("Myth", "BST insert", "insert"),
+            ("Myth2", "BST insert", "insert"),
+        ] {
+            let r = linked
+                .iter()
+                .find(|r| r.tool == tool && r.benchmark == benchmark)
+                .unwrap_or_else(|| panic!("{tool} / {benchmark} is not linked"));
+            let row = r.table1_row(&rows).expect("link resolves");
+            assert_eq!((row.group, row.name), ("BST", name), "{tool} / {benchmark}");
+        }
     }
 
     #[test]

@@ -1,81 +1,10 @@
-//! Standard component libraries used by the benchmark specifications.
-//!
-//! These mirror the component sets listed in Table 1 of the paper: integer
-//! constants and arithmetic (`0`, `inc`, `dec`), comparisons (`≤`, `<`,
-//! `≠`, `=`), boolean constants and connectives, and the `List`, `IList`
-//! (sorted list) and `BST` datatypes with their measures.
+//! The component library of the Fig. 7 SyGuS generators: integer
+//! comparisons and positional integer constants over a baseline
+//! environment with the standard qualifiers. Table 1 goals declare their
+//! components in their `.sq` specifications instead.
 
-use crate::datatypes::{
-    address_book_datatype, avl_datatype, heap_datatype, rbt_datatype, strict_list_datatype,
-    tree_datatype, unique_list_datatype,
-};
 use synquid_logic::{Qualifier, Sort, Term};
-use synquid_types::{
-    bst_datatype, increasing_list_datatype, list_datatype, BaseType, Environment, RType,
-};
-
-/// The value variable at sort `Int`.
-fn nu_int() -> Term {
-    Term::value_var(Sort::Int)
-}
-
-/// The value variable at sort `Bool`.
-fn nu_bool() -> Term {
-    Term::value_var(Sort::Bool)
-}
-
-fn ivar(name: &str) -> Term {
-    Term::var(name, Sort::Int)
-}
-
-/// Adds the integer components `zero`, `inc`, `dec` (the paper's `0`,
-/// `inc`, `dec`).
-pub fn add_int_components(env: &mut Environment) {
-    env.add_var(
-        "zero",
-        RType::refined(BaseType::Int, nu_int().eq(Term::int(0))),
-    );
-    env.add_var(
-        "inc",
-        RType::fun(
-            "x",
-            RType::int(),
-            RType::refined(BaseType::Int, nu_int().eq(ivar("x").plus(Term::int(1)))),
-        ),
-    );
-    env.add_var(
-        "dec",
-        RType::fun(
-            "x",
-            RType::int(),
-            RType::refined(BaseType::Int, nu_int().eq(ivar("x").minus(Term::int(1)))),
-        ),
-    );
-}
-
-/// Adds binary integer arithmetic components `plus` and `minus` (used by
-/// the tree-counting and range benchmarks, whose component sets in Table 1
-/// include `+`).
-pub fn add_arith_components(env: &mut Environment) {
-    env.add_var(
-        "plus",
-        RType::fun_n(
-            vec![("x".into(), RType::int()), ("y".into(), RType::int())],
-            RType::refined(BaseType::Int, nu_int().eq(ivar("x").plus(ivar("y")))),
-        ),
-    );
-    env.add_var(
-        "minus",
-        RType::fun_n(
-            vec![("x".into(), RType::int()), ("y".into(), RType::int())],
-            RType::refined(BaseType::Int, nu_int().eq(ivar("x").minus(ivar("y")))),
-        ),
-    );
-    env.add_var(
-        "one",
-        RType::refined(BaseType::Int, nu_int().eq(Term::int(1))),
-    );
-}
+use synquid_types::{BaseType, Environment, RType};
 
 /// Adds the comparison components `leq`, `lt`, `neq`, `eq` over a sort
 /// (integers or a type variable with a generic order).
@@ -90,7 +19,7 @@ pub fn add_comparison_components(env: &mut Environment, sort: Sort) {
     let make = |body: Term| {
         RType::fun_n(
             vec![("x".into(), scalar()), ("y".into(), scalar())],
-            RType::refined(BaseType::Bool, nu_bool().iff(body)),
+            RType::refined(BaseType::Bool, Term::value_var(Sort::Bool).iff(body)),
         )
     };
     let suffix = match &sort {
@@ -103,84 +32,15 @@ pub fn add_comparison_components(env: &mut Environment, sort: Sort) {
     env.add_var(format!("eq{suffix}"), make(x().eq(y())));
 }
 
-/// Adds boolean constants and connectives (`true`, `false`, `not`, `and`,
-/// `or`).
-pub fn add_bool_components(env: &mut Environment) {
-    env.add_var(
-        "true",
-        RType::refined(BaseType::Bool, nu_bool().iff(Term::tt())),
-    );
-    env.add_var(
-        "false",
-        RType::refined(BaseType::Bool, nu_bool().iff(Term::ff())),
-    );
-    env.add_var(
-        "not",
-        RType::fun(
-            "b",
-            RType::bool(),
-            RType::refined(
-                BaseType::Bool,
-                nu_bool().iff(Term::var("b", Sort::Bool).not()),
-            ),
-        ),
-    );
-    let b = |n: &str| Term::var(n, Sort::Bool);
-    env.add_var(
-        "and",
-        RType::fun_n(
-            vec![("p".into(), RType::bool()), ("q".into(), RType::bool())],
-            RType::refined(BaseType::Bool, nu_bool().iff(b("p").and(b("q")))),
-        ),
-    );
-    env.add_var(
-        "or",
-        RType::fun_n(
-            vec![("p".into(), RType::bool()), ("q".into(), RType::bool())],
-            RType::refined(BaseType::Bool, nu_bool().iff(b("p").or(b("q")))),
-        ),
-    );
-}
-
 /// Adds integer constant components `c0 … cn` with types `{Int | ν = i}`
 /// (used by the SyGuS-style benchmarks, which return positional indices).
 pub fn add_int_constants(env: &mut Environment, up_to: i64) {
     for i in 0..=up_to {
         env.add_var(
             format!("c{i}"),
-            RType::refined(BaseType::Int, nu_int().eq(Term::int(i))),
+            RType::refined(BaseType::Int, Term::value_var(Sort::Int).eq(Term::int(i))),
         );
     }
-}
-
-/// The sort and type of `List a`.
-pub fn list_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("List".into(), vec![elem]))
-}
-
-/// The sort and type of `IList a` (increasing list).
-pub fn ilist_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("IList".into(), vec![elem]))
-}
-
-/// The sort and type of `BST a`.
-pub fn bst_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("BST".into(), vec![elem]))
-}
-
-/// The `len` measure applied to the value variable of a `List a` type.
-pub fn len_of(t: Term) -> Term {
-    Term::app("len", vec![t], Sort::Int)
-}
-
-/// The `elems` measure applied to a term.
-pub fn elems_of(t: Term, elem_sort: Sort) -> Term {
-    Term::app("elems", vec![t], Sort::set(elem_sort))
-}
-
-/// The value variable at `List a` sort.
-pub fn nu_list(elem_sort: Sort) -> Term {
-    Term::value_var(Sort::Data("List".into(), vec![elem_sort]))
 }
 
 /// A baseline environment with the standard qualifiers `? ≤ ?`, `? ≠ ?`,
@@ -192,157 +52,9 @@ pub fn base_environment() -> Environment {
     env
 }
 
-/// Environment with the list datatype and integer components, the starting
-/// point of most list benchmarks.
-pub fn list_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(list_datatype());
-    add_int_components(&mut env);
-    env
-}
-
-/// Environment with lists, sorted lists, comparisons, and integers (used
-/// by the sorting benchmarks).
-pub fn sorting_environment() -> Environment {
-    let mut env = list_environment();
-    env.add_datatype(increasing_list_datatype());
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment with the BST datatype and generic comparisons.
-pub fn bst_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(bst_datatype());
-    add_bool_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// The `tsize` measure applied to a term (binary trees).
-pub fn tsize_of(t: Term) -> Term {
-    Term::app("tsize", vec![t], Sort::Int)
-}
-
-/// The `telems` measure applied to a term (binary trees).
-pub fn telems_of(t: Term, elem_sort: Sort) -> Term {
-    Term::app("telems", vec![t], Sort::set(elem_sort))
-}
-
-/// The `helems` measure applied to a term (binary heaps).
-pub fn helems_of(t: Term, elem_sort: Sort) -> Term {
-    Term::app("helems", vec![t], Sort::set(elem_sort))
-}
-
-/// The `uelems` measure applied to a term (unique lists).
-pub fn uelems_of(t: Term, elem_sort: Sort) -> Term {
-    Term::app("uelems", vec![t], Sort::set(elem_sort))
-}
-
-/// The `selems` measure applied to a term (strictly sorted lists).
-pub fn selems_of(t: Term, elem_sort: Sort) -> Term {
-    Term::app("selems", vec![t], Sort::set(elem_sort))
-}
-
-/// The `Tree a` type.
-pub fn tree_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("Tree".into(), vec![elem]))
-}
-
-/// The `Heap a` type.
-pub fn heap_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("Heap".into(), vec![elem]))
-}
-
-/// The `UList a` type (lists with pairwise distinct elements).
-pub fn ulist_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("UList".into(), vec![elem]))
-}
-
-/// The `SList a` type (strictly increasing lists).
-pub fn slist_type(elem: RType) -> RType {
-    RType::base(BaseType::Data("SList".into(), vec![elem]))
-}
-
-/// Environment with the binary-tree datatype, boolean connectives, and
-/// generic comparisons (the `Tree` group of Table 1).
-pub fn tree_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(tree_datatype());
-    add_bool_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the `Binary Heap` group: the heap datatype, booleans,
-/// and generic comparisons.
-pub fn heap_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(heap_datatype());
-    add_bool_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the `Unique list` group: unique lists together with
-/// ordinary lists (remove-duplicates converts between the two), booleans,
-/// and generic equality.
-pub fn unique_list_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(list_datatype());
-    env.add_datatype(unique_list_datatype());
-    add_bool_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the `Strictly sorted list` group.
-pub fn strict_list_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(strict_list_datatype());
-    add_bool_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the `AVL` group (also used for documentation examples).
-pub fn avl_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(avl_datatype());
-    add_int_components(&mut env);
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the `RBT` group.
-pub fn rbt_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(rbt_datatype());
-    add_comparison_components(&mut env, Sort::var("a"));
-    env
-}
-
-/// Environment for the address-book benchmarks of the `User` group.
-pub fn book_environment() -> Environment {
-    let mut env = base_environment();
-    env.add_datatype(address_book_datatype());
-    add_bool_components(&mut env);
-    env
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn list_environment_has_constructors_and_arithmetic() {
-        let env = list_environment();
-        assert!(env.lookup("Nil").is_some());
-        assert!(env.lookup("Cons").is_some());
-        assert!(env.lookup("dec").is_some());
-        assert!(env.lookup("zero").is_some());
-        assert!(!env.qualifiers().is_empty());
-    }
 
     #[test]
     fn comparison_components_over_type_variables_get_a_suffix() {
@@ -353,71 +65,11 @@ mod tests {
     }
 
     #[test]
-    fn bool_components_are_boolean_valued() {
-        let mut env = Environment::new();
-        add_bool_components(&mut env);
-        let t = env.lookup("true").unwrap();
-        assert!(t.ty.is_scalar());
-        let not = env.lookup("not").unwrap();
-        assert!(not.ty.is_function());
-    }
-
-    #[test]
     fn int_constants_are_singletons() {
         let mut env = Environment::new();
         add_int_constants(&mut env, 3);
         assert!(env.lookup("c0").is_some());
         assert!(env.lookup("c3").is_some());
         assert!(env.lookup("c4").is_none());
-    }
-
-    #[test]
-    fn bst_environment_registers_measures() {
-        let env = bst_environment();
-        assert!(env.measure("keys").is_some());
-        assert!(env.measure("size").is_some());
-        assert!(env.lookup("Node").is_some());
-    }
-
-    #[test]
-    fn tree_and_heap_environments_register_their_datatypes() {
-        let tree = tree_environment();
-        assert!(tree.datatype("Tree").is_some());
-        assert!(tree.lookup("TNode").is_some());
-        assert!(tree.measure("tsize").is_some());
-        let heap = heap_environment();
-        assert!(heap.datatype("Heap").is_some());
-        assert!(heap.lookup("HNode").is_some());
-        assert!(heap.measure("helems").is_some());
-    }
-
-    #[test]
-    fn unique_and_strict_list_environments_have_both_list_flavours() {
-        let unique = unique_list_environment();
-        assert!(unique.datatype("UList").is_some());
-        assert!(
-            unique.datatype("List").is_some(),
-            "needed by remove-duplicates"
-        );
-        let strict = strict_list_environment();
-        assert!(strict.datatype("SList").is_some());
-        assert!(strict.lookup("SCons").is_some());
-    }
-
-    #[test]
-    fn arith_components_are_binary_integer_functions() {
-        let mut env = Environment::new();
-        add_arith_components(&mut env);
-        let plus = env.lookup("plus").unwrap();
-        assert!(plus.ty.is_function());
-        assert_eq!(plus.ty.uncurry().0.len(), 2);
-        assert!(env.lookup("one").is_some());
-    }
-
-    #[test]
-    fn avl_rbt_and_book_environments_build() {
-        assert!(avl_environment().datatype("AVL").is_some());
-        assert!(rbt_environment().datatype("RBT").is_some());
-        assert!(book_environment().datatype("Book").is_some());
     }
 }

@@ -1,30 +1,32 @@
 //! # synquid-lang
 //!
-//! The user-facing layer of the Synquid reproduction: reusable component
-//! libraries (integers, booleans, lists, sorted lists, binary search
-//! trees), the benchmark suite of the paper's evaluation (Table 1,
-//! Table 2, and the Fig. 7 SyGuS family), and helpers for running goals
-//! and collecting results.
+//! The benchmark suite of the paper's evaluation and the helpers that
+//! locate it: the Table 1 and Table 2 metadata (each transcribed Table 1
+//! row names its `.sq` specification under `specs/`), the Fig. 7 SyGuS
+//! generators (`max_n`, `array_search_n`, parameterised by `n` and
+//! therefore built in Rust), the spec-corpus loaders, and the Table 1
+//! column configurations ([`Variant`]). Running goals is the job of
+//! `synquid-engine`.
 //!
 //! ## Example
 //!
 //! ```
-//! use synquid_lang::benchmarks::max_n;
-//! use synquid_lang::runner::{run_goal, Variant};
-//! use std::time::Duration;
+//! use synquid_lang::table1;
 //!
-//! let goal = max_n(2);
-//! let result = run_goal(&goal, Variant::Default.config(Duration::from_secs(30), (1, 0)));
-//! assert!(result.solved);
+//! let replicate = table1()
+//!     .into_iter()
+//!     .find(|b| b.name == "replicate")
+//!     .expect("replicate is a Table 1 row");
+//! let goal = replicate.load_goal().expect("transcribed").expect("spec loads");
+//! assert_eq!(goal.name, "replicate");
+//! assert_eq!(replicate.bounds, (3, 0));
 //! ```
 
 pub mod benchmarks;
 pub mod components;
-pub mod datatypes;
-pub mod goals;
 pub mod runner;
 pub mod spec;
 
 pub use benchmarks::{array_search_n, max_n, sygus, table1, table2, transcribed, Benchmark};
-pub use runner::{run_goal, RunResult, Variant};
+pub use runner::{goal_label, Variant};
 pub use synquid_core::SynthesisStats;

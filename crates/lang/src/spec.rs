@@ -1,19 +1,18 @@
-//! Loading `.sq` specification files (the textual counterpart of the
-//! programmatic goal builders in [`crate::benchmarks`] and
-//! [`crate::goals`]).
+//! Loading `.sq` specification files: the one source of every Table 1
+//! goal and of the batch corpus.
 //!
 //! This module is a thin convenience layer over [`synquid_parser`]: it
-//! locates the repository's `specs/` corpus, loads individual files, and
-//! looks goals up by name across the corpus. The parity between the two
-//! paths — a `.sq` file and the programmatic builder for the same
-//! benchmark must produce structurally identical [`Goal`]s — is enforced
-//! by `tests/spec_parity.rs`.
+//! locates the repository's `specs/` directory, loads individual files,
+//! and looks goals up by name across the corpus. The corpus proper is
+//! the top level of `specs/` ([`corpus_files`] does not descend);
+//! `specs/table1/` holds the remaining Table 1 transcriptions, reached
+//! through [`crate::benchmarks::table1`].
 
 use std::path::{Path, PathBuf};
 use synquid_core::Goal;
 pub use synquid_parser::{load_file, load_named_str, load_str, SpecError, SpecOutput};
 
-/// Locates the `specs/` corpus directory, looking both next to the
+/// Locates the `specs/` directory, looking both next to the
 /// workspace root and relative to this crate (so the helper works from
 /// the facade crate's tests as well as from `crates/lang`).
 pub fn corpus_dir() -> Option<PathBuf> {
@@ -83,6 +82,19 @@ mod tests {
                 "{} declares no goals",
                 file.display()
             );
+        }
+    }
+
+    #[test]
+    fn showcase_file_reuses_the_same_component_library() {
+        // specs/list.sq is the CLI demo: two goals over one shared library.
+        let out = load_corpus_file("list").expect("specs/list.sq loads");
+        assert_eq!(out.goals.len(), 2);
+        let names: Vec<&str> = out.goals.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(names, ["is_empty", "length"]);
+        for goal in &out.goals {
+            assert!(goal.env.datatype("List").is_some());
+            assert!(goal.env.lookup("zero").is_some());
         }
     }
 

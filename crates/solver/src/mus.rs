@@ -174,9 +174,6 @@ pub fn enumerate_mus_smt(
         max_checks: config.max_checks,
     };
     if let Some(cached) = smt.mus_memo_lookup(&key) {
-        synquid_telemetry::events::emit(|| {
-            synquid_telemetry::events::Event::new("cache_hit").str("layer", "mus-memo")
-        });
         return cached;
     }
     // Attributed to the same phase as the solver's unsat-core shrinking:

@@ -258,15 +258,21 @@ impl Smt {
         self.lemma_sink = Some(sink);
     }
 
-    /// Looks up a memoized MUS enumeration.
+    /// Looks up a memoized MUS enumeration, reporting the hit or miss
+    /// on the trace stream (`layer=mus-memo`). Without a memo (the
+    /// non-incremental backend) there is no layer to report on.
     pub(crate) fn mus_memo_lookup(
         &mut self,
         key: &MusMemoKey,
     ) -> Option<Vec<std::collections::BTreeSet<usize>>> {
-        let found = self.mus_memo.as_ref().and_then(|m| m.get(key).cloned());
-        if found.is_some() {
+        let found = self.mus_memo.as_ref()?.get(key).cloned();
+        let kind = if found.is_some() {
             self.stats.mus_memo_hits += 1;
-        }
+            "cache_hit"
+        } else {
+            "cache_miss"
+        };
+        events::emit(|| Event::new(kind).str("layer", "mus-memo"));
         found
     }
 
@@ -452,6 +458,7 @@ impl Smt {
             events::emit(|| Event::new("cache_hit").str("layer", "local"));
             return *cached;
         }
+        events::emit(|| Event::new("cache_miss").str("layer", "local"));
         // Normalize once, outside the cache's lock, and reuse the
         // normalized pair for both the lookup and the insert.
         let query = self

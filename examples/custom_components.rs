@@ -1,6 +1,7 @@
 //! Building a synthesis problem from scratch against the public API:
 //! a custom component library (clamp-style integer operations) and a goal
-//! whose solution needs both an application and an abduced branch.
+//! whose solution needs both an application and an abduced branch, run
+//! through the engine at fixed bounds.
 //!
 //! Run with: `cargo run --release --example custom_components`
 
@@ -47,10 +48,18 @@ fn main() {
     );
 
     println!("Goal: abs :: {}", goal.schema);
-    let result = run_goal(
-        &goal,
-        Variant::Default.config(Duration::from_secs(60), (1, 0)),
-    );
+    let timeout = Duration::from_secs(60);
+    let engine = Engine::new(EngineConfig {
+        timeout,
+        rungs: vec![(1, 0)],
+        base: Variant::Default.config(timeout, (1, 0)),
+        ..EngineConfig::default()
+    });
+    let result = engine
+        .run(vec![GoalJob::new("custom_components", goal)])
+        .outcomes
+        .remove(0)
+        .result;
     match result.program {
         Some(program) => println!(
             "Synthesized in {:.2}s:\nabs = {}",

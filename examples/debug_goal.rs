@@ -1,37 +1,45 @@
-//! Debugging helper: run a single Table 1 benchmark (or a SyGuS goal) by
-//! name from the command line and print the outcome.
+//! Debugging helper: run a single Table 1 benchmark by name (or
+//! `group/name`, since names repeat across groups) from its `.sq` spec at
+//! the row's bounds, and print the outcome with the run's statistics.
 //!
 //! Usage: `cargo run --example debug_goal -- "is empty" [timeout-secs]`
 
 use std::time::Duration;
-use synquid::lang::benchmarks::table1;
-use synquid::lang::runner::{run_goal, Variant};
+use synquid::lang::table1;
+use synquid::prelude::*;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "is empty".to_string());
-    let timeout: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(30);
+    let timeout = Duration::from_secs(args.next().and_then(|s| s.parse().ok()).unwrap_or(30));
     let bench = table1()
         .into_iter()
-        .find(|b| b.name == name)
+        .find(|b| b.name == name || format!("{}/{}", b.group, b.name) == name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let goal = (bench.goal.expect("benchmark not transcribed"))();
-    eprintln!("goal: {} :: {}", goal.name, goal.schema.ty);
-    let bounds = bench.bounds;
-    let config = Variant::Default.config(Duration::from_secs(timeout), bounds);
-    let mut synthesizer = synquid::core::Synthesizer::new(config.clone());
-    let start = std::time::Instant::now();
-    let outcome = synthesizer.synthesize(&goal);
-    let elapsed = start.elapsed().as_secs_f64();
-    let smt_stats = synthesizer.smt.stats();
-    eprintln!(
-        "smt: queries={} cache_hits={} sat_calls={} theory_calls={}",
-        smt_stats.queries, smt_stats.cache_hits, smt_stats.sat_calls, smt_stats.theory_calls
-    );
-    eprintln!("stats: {:?}", synthesizer.stats());
-    match outcome {
-        Ok(s) => println!("solved=true time={elapsed:.2}s program={}", s.program),
-        Err(e) => println!("solved=false time={elapsed:.2}s error={e}"),
+    let spec = bench.spec.expect("benchmark not transcribed");
+    let goal = bench
+        .load_goal()
+        .expect("transcribed")
+        .unwrap_or_else(|e| panic!("specs/{spec}: {e}"));
+    eprintln!("goal: {} :: {} (specs/{spec})", goal.name, goal.schema.ty);
+    let engine = Engine::new(EngineConfig {
+        timeout,
+        rungs: vec![bench.bounds],
+        base: Variant::Default.config(timeout, bench.bounds),
+        ..EngineConfig::default()
+    });
+    let report = engine.run(vec![GoalJob::new(spec, goal)]);
+    let result = &report.outcomes[0].result;
+    eprintln!("stats: {:?}", result.stats);
+    eprintln!("validity cache: {:?}", report.cache);
+    match &result.program {
+        Some(program) => println!(
+            "solved=true time={:.2}s program={program}",
+            result.time_secs
+        ),
+        None => println!(
+            "solved=false time={:.2}s timed_out={}",
+            result.time_secs, result.timed_out
+        ),
     }
-    let _ = run_goal;
 }

@@ -4,12 +4,12 @@
 //! The spec below is the `is_empty` benchmark of Table 1 in Synquid's
 //! surface syntax: a refined `List` datatype with its `len`/`elems`
 //! measures, a few components, and a goal signature followed by
-//! `is_empty = ??`.
+//! `is_empty = ??`. The engine then synthesizes every goal of the spec.
 //!
 //! Run with: `cargo run --release --example from_spec`
 
 use std::time::Duration;
-use synquid::lang::runner::{run_goal, Variant};
+use synquid::prelude::*;
 
 const SPEC: &str = r#"
 qualifier [x: Int, y: Int] {x <= y, x != y, x < y}
@@ -44,16 +44,26 @@ fn main() {
         spec.goals.len()
     );
 
-    for goal in &spec.goals {
-        println!("\nGoal: {} :: {}", goal.name, goal.schema);
-        let config = Variant::Default.config(Duration::from_secs(60), (1, 1));
-        let result = run_goal(goal, config);
+    let engine = Engine::new(EngineConfig {
+        timeout: Duration::from_secs(60),
+        ..EngineConfig::default()
+    });
+    let jobs = spec
+        .goals
+        .into_iter()
+        .map(|goal| {
+            println!("Goal: {} :: {}", goal.name, goal.schema);
+            GoalJob::new("from_spec.sq", goal)
+        })
+        .collect();
+    for outcome in engine.run(jobs).outcomes {
+        let result = outcome.result;
         match result.program {
             Some(program) => println!(
-                "Synthesized in {:.2}s:\n{} = {program}",
-                result.time_secs, goal.name
+                "\nSynthesized in {:.2}s:\n{} = {program}",
+                result.time_secs, result.name
             ),
-            None => println!("No solution within the budget."),
+            None => println!("\n{}: no solution within the budget.", result.name),
         }
     }
 }

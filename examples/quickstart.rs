@@ -2,17 +2,16 @@
 //! polymorphic refinement type
 //! `n: Nat → x: α → {List α | len ν = n}`.
 //!
-//! This example drives the *programmatic* benchmark suite. For new
-//! specifications prefer the textual path — write a `.sq` file and run it
-//! through the `synquid` CLI (`cargo run --release --bin synquid --
-//! specs/list.sq`), or see `examples/from_spec.rs` for parsing a spec
-//! string inline; the two paths produce identical goals (see
-//! `crates/lang/tests/spec_parity.rs`).
+//! The goal comes from the Table 1 row's specification
+//! (`specs/replicate.sq`) and runs through the engine at the row's
+//! exploration bounds, the way `report table1` measures it. The `synquid`
+//! CLI does the same for any `.sq` file, with deepening bounds
+//! (`cargo run --release --bin synquid -- specs/replicate.sq`).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::time::Duration;
-use synquid::lang::benchmarks::table1;
+use synquid::lang::table1;
 use synquid::prelude::*;
 
 fn main() {
@@ -20,13 +19,26 @@ fn main() {
         .into_iter()
         .find(|b| b.name == "replicate")
         .expect("replicate is part of the Table 1 suite");
-    let goal = (replicate.goal.expect("replicate is transcribed"))();
+    let goal = replicate
+        .load_goal()
+        .expect("replicate is transcribed")
+        .expect("specs/replicate.sq loads");
 
     println!("Goal: replicate :: {}", goal.schema);
     println!("Synthesizing (this exercises liquid abduction and termination-aware recursion)...");
 
-    let config = Variant::Default.config(Duration::from_secs(90), replicate.bounds);
-    let result = run_goal(&goal, config);
+    let timeout = Duration::from_secs(90);
+    let engine = Engine::new(EngineConfig {
+        timeout,
+        rungs: vec![replicate.bounds],
+        base: Variant::Default.config(timeout, replicate.bounds),
+        ..EngineConfig::default()
+    });
+    let result = engine
+        .run(vec![GoalJob::new("specs/replicate.sq", goal)])
+        .outcomes
+        .remove(0)
+        .result;
     if result.solved {
         println!(
             "Synthesized in {:.2}s ({} AST nodes):\n",

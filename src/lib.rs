@@ -17,8 +17,8 @@
 //! * [`core`] — programs, round-trip checking, and the synthesizer;
 //! * [`parser`] — the `.sq` surface language: lexer, parser, and the
 //!   desugarer that elaborates textual specs into [`core`] goals;
-//! * [`lang`] — component libraries, the benchmark suite, spec-corpus
-//!   helpers, and runners;
+//! * [`lang`] — the benchmark suite (Table 1 rows linked to their `.sq`
+//!   specs, Table 2, the Fig. 7 generators) and the spec-corpus helpers;
 //! * [`engine`] — the parallel execution layer: multi-goal scheduler,
 //!   portfolio search over deepening rungs, and the resident
 //!   [`SynthesisSession`](engine::SynthesisSession) owning all
@@ -56,11 +56,13 @@
 //!     "#,
 //! )
 //! .expect("a well-formed spec");
-//! let result = run_goal(
-//!     &spec.goals[0],
-//!     Variant::Default.config(Duration::from_secs(30), (1, 1)),
-//! );
-//! assert!(result.solved);
+//! let engine = Engine::new(EngineConfig {
+//!     timeout: Duration::from_secs(30),
+//!     ..EngineConfig::default()
+//! });
+//! let jobs = spec.goals.into_iter().map(|g| GoalJob::new("inline", g)).collect();
+//! let report = engine.run(jobs);
+//! assert!(report.all_solved());
 //! ```
 //!
 //! The same pipeline is available from the command line — the `synquid`
@@ -72,21 +74,30 @@
 //! cargo run --release --bin synquid -- specs/list.sq
 //! ```
 //!
-//! ## Programmatic goals
+//! ## The paper's benchmarks
 //!
-//! The benchmark suite of the paper's evaluation is also available as
-//! programmatic builders (no parsing involved); the two paths produce
-//! structurally identical goals, which `crates/lang/tests/spec_parity.rs`
-//! enforces:
+//! Every transcribed Table 1 row names its `.sq` spec; load it and run
+//! it at the row's bounds, the way `report table1` measures it (a
+//! one-rung ladder, under one [`Variant`](lang::Variant) of Table 1):
 //!
 //! ```
 //! use std::time::Duration;
 //! use synquid::prelude::*;
 //!
-//! // Synthesize max of two integers from its refinement type.
-//! let goal = synquid::lang::benchmarks::max_n(2);
-//! let result = run_goal(&goal, Variant::Default.config(Duration::from_secs(30), (1, 0)));
-//! assert!(result.solved);
+//! let row = synquid::lang::table1()
+//!     .into_iter()
+//!     .find(|b| b.group == "List" && b.name == "is empty")
+//!     .expect("a Table 1 row");
+//! let goal = row.load_goal().expect("transcribed").expect("spec loads");
+//! let timeout = Duration::from_secs(30);
+//! let engine = Engine::new(EngineConfig {
+//!     timeout,
+//!     rungs: vec![row.bounds],
+//!     base: Variant::Default.config(timeout, row.bounds),
+//!     ..EngineConfig::default()
+//! });
+//! let report = engine.run(vec![GoalJob::new(row.spec.unwrap(), goal)]);
+//! assert!(report.outcomes[0].result.solved);
 //! ```
 
 pub use synquid_core as core;
@@ -106,8 +117,10 @@ pub mod prelude {
     pub use synquid_core::{
         Goal, Program, SolverContext, SynthesisConfig, SynthesisError, Synthesizer,
     };
-    pub use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, SynthesisSession};
-    pub use synquid_lang::runner::{run_goal, RunResult, Variant};
+    pub use synquid_engine::{
+        BatchReport, Engine, EngineConfig, GoalJob, RunResult, SynthesisSession,
+    };
+    pub use synquid_lang::runner::Variant;
     pub use synquid_logic::{Qualifier, Sort, Term};
     pub use synquid_oracle::{fuzz_goal, fuzz_goal_in, FuzzConfig, GoalFuzzReport};
     pub use synquid_parser::{load_file, load_str, SpecOutput};

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: synthesis goals exercised through the
 //! public facade, spanning the logic, solver, horn, types, core, parser,
-//! and lang crates together.
+//! lang, and engine crates together.
 //!
 //! The heavier goals run in release mode via the benchmark harness
 //! (`cargo run -p synquid-bench --bin report`); here we keep budgets small
@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 use synquid::core::{Evaluator, TypeChecker};
-use synquid::lang::benchmarks::{max_n, table1};
+use synquid::lang::{max_n, table1};
 use synquid::oracle::{CVal, Checker, GenStats, Generator, LogicEnv, LogicVal, Rng};
 use synquid::prelude::*;
 
@@ -59,9 +59,10 @@ fn grouped_goal(group: &str, name: &str) -> (Goal, (usize, usize)) {
         .into_iter()
         .find(|b| b.group == group && b.name == name)
         .unwrap_or_else(|| panic!("unknown benchmark {group}/{name}"));
-    let goal = (bench
-        .goal
-        .unwrap_or_else(|| panic!("{name} is not transcribed")))();
+    let goal = bench
+        .load_goal()
+        .unwrap_or_else(|| panic!("{name} is not transcribed"))
+        .unwrap_or_else(|e| panic!("{group}/{name}: {e}"));
     (goal, bench.bounds)
 }
 
@@ -69,12 +70,22 @@ fn named_goal(name: &str) -> (Goal, (usize, usize)) {
     grouped_goal("List", name)
 }
 
+/// Runs a List row at its Table 1 bounds through the engine (a one-rung
+/// ladder), the way `report table1` measures it.
 fn run_named(name: &str, timeout_secs: u64) -> RunResult {
     let (goal, bounds) = named_goal(name);
-    run_goal(
-        &goal,
-        Variant::Default.config(Duration::from_secs(timeout_secs), bounds),
-    )
+    let timeout = Duration::from_secs(timeout_secs);
+    let engine = Engine::new(EngineConfig {
+        timeout,
+        rungs: vec![bounds],
+        base: Variant::Default.config(timeout, bounds),
+        ..EngineConfig::default()
+    });
+    engine
+        .run(vec![GoalJob::new(name, goal)])
+        .outcomes
+        .remove(0)
+        .result
 }
 
 #[test]
@@ -252,7 +263,7 @@ fn spec_errors_surface_as_located_diagnostics_through_the_facade() {
 fn report_structures_cover_the_full_paper_tables() {
     let rows = table1();
     assert_eq!(rows.len(), 64);
-    let transcribed = rows.iter().filter(|b| b.goal.is_some()).count();
+    let transcribed = rows.iter().filter(|b| b.spec.is_some()).count();
     assert!(
         transcribed >= 30,
         "expected at least 30 transcribed Table 1 rows, got {transcribed}"
@@ -265,8 +276,10 @@ fn report_structures_cover_the_full_paper_tables() {
 #[test]
 fn every_transcribed_goal_builds_a_well_formed_schema() {
     for bench in table1() {
-        let Some(build) = bench.goal else { continue };
-        let goal = build();
+        let Some(goal) = bench.load_goal() else {
+            continue;
+        };
+        let goal = goal.unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(
             goal.schema.ty.is_function(),
             "{} should be a function goal",
