@@ -28,7 +28,7 @@
 //!   [`BatchReport::session`], and per-goal
 //!   [`SynthesisStats`](synquid_core::SynthesisStats).
 //!
-//! Every claim a worker makes ends in [`run_goal_in_context`] ([`runner`]):
+//! Every claim a worker makes ends in [`runner::run_goal_in_context`]:
 //! one synthesis run of one goal at one rung, reported as a
 //! [`RunResult`]. Fixed-bound measurements (the Table 1, Table 2 and
 //! Fig. 7 reports) use the same path with a one-rung ladder
@@ -72,7 +72,7 @@ pub mod scheduler;
 pub mod session;
 
 pub use portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
-pub use runner::{run_goal_in_context, RunResult};
+pub use runner::RunResult;
 pub use scheduler::{BatchReport, Engine, EngineConfig, GoalJob, GoalOutcome};
 pub use session::{
     LibraryFingerprint, SessionCaches, SessionLimits, SessionStats, SynthesisSession, WarmStart,
