@@ -94,6 +94,29 @@ fn every_transcribed_goal_has_a_refined_result() {
 }
 
 #[test]
+fn list_goals_build_well_formed_schemas() {
+    for name in [
+        "is member",
+        "take first n elements",
+        "delete value",
+        "map",
+        "insert at end",
+        "reverse",
+    ] {
+        let goal = row_goal("List", name);
+        assert!(!goal.name.is_empty());
+        assert!(
+            goal.schema.ty.is_function(),
+            "{} should be a function goal",
+            goal.name
+        );
+        let (args, ret) = goal.schema.ty.uncurry();
+        assert!(!args.is_empty());
+        assert!(ret.is_scalar());
+    }
+}
+
+#[test]
 fn map_is_polymorphic_in_two_variables() {
     let goal = row_goal("List", "map");
     assert_eq!(goal.schema.type_vars, ["a", "b"]);
@@ -133,10 +156,36 @@ fn remove_duplicates_provides_a_membership_component() {
 }
 
 #[test]
-fn strict_list_tail_elements_exceed_the_head() {
+fn unique_and_strict_goals_are_well_formed() {
+    for (group, name) in [
+        ("Unique list", "insert"),
+        ("Unique list", "delete"),
+        ("Unique list", "remove duplicates"),
+        ("Strictly sorted list", "insert"),
+        ("Strictly sorted list", "delete"),
+    ] {
+        let goal = row_goal(group, name);
+        assert!(goal.schema.ty.is_function());
+        let (_, ret) = goal.schema.ty.uncurry();
+        assert!(ret.is_scalar());
+        assert!(
+            !ret.refinement().is_true(),
+            "{} has a trivial goal",
+            goal.name
+        );
+    }
+}
+
+#[test]
+fn strict_goals_use_the_slist_measures() {
     let goal = row_goal("Strictly sorted list", "insert");
     let (_, ret) = goal.schema.ty.uncurry();
     assert!(ret.refinement().to_string().contains("selems"));
+}
+
+#[test]
+fn strict_list_tail_elements_exceed_the_head() {
+    let goal = row_goal("Strictly sorted list", "insert");
     let slist = datatype(&goal, "SList");
     let (args, _) = slist.constructor("SCons").unwrap().schema.ty.uncurry();
     assert!(element_type(&args[1].1)
@@ -176,6 +225,15 @@ fn tree_has_scalar_leaf_and_ternary_node() {
 }
 
 #[test]
+fn tree_goals_are_well_formed() {
+    for name in ["is member", "node count", "preorder"] {
+        let goal = row_goal("Tree", name);
+        assert!(goal.schema.ty.is_function());
+        assert!(goal.env.datatype("Tree").is_some());
+    }
+}
+
+#[test]
 fn tree_count_has_arithmetic_components() {
     let goal = row_goal("Tree", "node count");
     assert!(goal.env.lookup("plus").is_some());
@@ -190,6 +248,22 @@ fn preorder_bridges_trees_and_lists() {
     assert!(goal.env.lookup("append").is_some());
     let (_, ret) = goal.schema.ty.uncurry();
     assert!(ret.refinement().to_string().contains("telems"));
+}
+
+#[test]
+fn heap_goals_are_well_formed() {
+    for name in [
+        "is member",
+        "1-element constructor",
+        "2-element constructor",
+        "insert",
+    ] {
+        let goal = row_goal("Binary Heap", name);
+        assert!(goal.schema.ty.is_function());
+        assert!(goal.env.datatype("Heap").is_some());
+        let (_, ret) = goal.schema.ty.uncurry();
+        assert!(!ret.refinement().is_true());
+    }
 }
 
 #[test]
@@ -212,6 +286,15 @@ fn constructors_specify_the_exact_element_set() {
     let two = row_goal("Binary Heap", "2-element constructor");
     let (args, _) = two.schema.ty.uncurry();
     assert_eq!(args.len(), 2);
+}
+
+#[test]
+fn address_book_goals_are_well_formed() {
+    for name in ["make address book", "merge address books"] {
+        let goal = row_goal("User", name);
+        assert!(goal.schema.ty.is_function());
+        assert!(goal.env.datatype("Book").is_some());
+    }
 }
 
 #[test]
