@@ -1072,14 +1072,17 @@ impl Synthesizer {
                         let label = format!("{head}:arg{i}");
                         // Replay the argument's own side condition, then
                         // check it against the declared argument type.
-                        if s.require(&cenv, &cand.condition, &mut self.smt, &label)
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        if s.subtype(&cenv, &ty, &expected, &mut self.smt, &label)
-                            .is_err()
-                        {
+                        // Both are local liquid type checks, charged to
+                        // `Subtyping` rather than to the enclosing
+                        // `Generation` span.
+                        let checked = {
+                            let _span = synquid_telemetry::span(Phase::Subtyping);
+                            s.require(&cenv, &cand.condition, &mut self.smt, &label)
+                                .and_then(|()| {
+                                    s.subtype(&cenv, &ty, &expected, &mut self.smt, &label)
+                                })
+                        };
+                        if checked.is_err() {
                             continue;
                         }
                         taken += 1;

@@ -12,6 +12,7 @@
 
 use crate::unknowns::{Assignment, UnknownRegistry};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use synquid_logic::{QSpace, Substitution, Term, UnknownId};
 use synquid_solver::{enumerate_mus_smt, MusConfig, Smt, SmtResult};
 
@@ -112,11 +113,15 @@ impl std::fmt::Display for HornError {
 impl std::error::Error for HornError {}
 
 /// The incremental greatest-fixpoint solver.
+///
+/// Cloning forks the solver cheaply: constraints, like the unknowns in the
+/// registry, are immutable once added and sit behind [`Arc`], so a fork
+/// copies pointers and the candidate assignments only.
 #[derive(Debug, Clone)]
 pub struct FixpointSolver {
     /// Registry of predicate unknowns (shared with the type checker).
     pub registry: UnknownRegistry,
-    constraints: Vec<HornConstraint>,
+    constraints: Vec<Arc<HornConstraint>>,
     candidates: Vec<Assignment>,
     config: FixpointConfig,
     stats: FixpointStats,
@@ -174,7 +179,7 @@ impl FixpointSolver {
     }
 
     /// The constraints added so far.
-    pub fn constraints(&self) -> &[HornConstraint] {
+    pub fn constraints(&self) -> &[Arc<HornConstraint>] {
         &self.constraints
     }
 
@@ -183,7 +188,8 @@ impl FixpointSolver {
     /// added so far — i.e. a type error has been detected.
     pub fn add_constraint(&mut self, c: HornConstraint, smt: &mut Smt) -> Result<(), HornError> {
         self.stats.constraints += 1;
-        self.constraints.push(c.clone());
+        let c = Arc::new(c);
+        self.constraints.push(Arc::clone(&c));
         let mut new_candidates = Vec::new();
         let candidates = std::mem::take(&mut self.candidates);
         for cand in candidates {
@@ -216,7 +222,7 @@ impl FixpointSolver {
             self.candidates = vec![Assignment::top()];
             self.constraints.pop();
             return Err(HornError {
-                constraint: c.label,
+                constraint: c.label.clone(),
             });
         }
         self.candidates = new_candidates;
@@ -694,6 +700,42 @@ mod tests {
         solver.add_constraint(c, &mut smt).unwrap();
         let val = solver.apply(&occurrence);
         assert!(smt.entails(&val, &m.le(Term::int(0))), "got {val}");
+    }
+
+    #[test]
+    fn mutating_a_fork_leaves_the_original_unchanged() {
+        let mut smt = Smt::new();
+        let mut original = FixpointSolver::default();
+        let p0 = original.fresh_unknown("P0", replicate_qspace(), Term::int(0).le(n()));
+        let negative = HornConstraint::new(
+            Term::int(0)
+                .le(n())
+                .and(Term::unknown(p0))
+                .and(len_v().eq(Term::int(0))),
+            len_v().eq(n()),
+            "negative",
+        );
+        original.add_constraint(negative, &mut smt).unwrap();
+        let constraints = original.constraints().len();
+        let unknowns = original.registry.len();
+        let assignment = original.assignment().clone();
+
+        let mut fork = original.clone();
+        let p1 = fork.fresh_unknown("P1", replicate_qspace(), Term::tt());
+        // Holds only once P1 is strengthened (to `0 < n` or `n != 0`).
+        let forced = HornConstraint::new(
+            Term::unknown(p1).and(Term::int(0).le(n())),
+            Term::int(0).lt(n()),
+            "fork",
+        );
+        fork.add_constraint(forced, &mut smt).unwrap();
+        assert_eq!(fork.constraints().len(), constraints + 1);
+        assert_ne!(fork.assignment(), &assignment);
+
+        assert_eq!(original.constraints().len(), constraints);
+        assert_eq!(original.registry.len(), unknowns);
+        assert!(!original.registry.contains(p1));
+        assert_eq!(original.assignment(), &assignment);
     }
 
     #[test]

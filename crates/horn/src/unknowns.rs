@@ -7,6 +7,7 @@
 //! the environment where the unknown was created.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use synquid_logic::{QSpace, Substitution, Term, UnknownId};
 
 /// Metadata about one predicate unknown.
@@ -27,9 +28,13 @@ pub struct UnknownInfo {
 
 /// Registry of all predicate unknowns created during one synthesis /
 /// type-checking problem.
+///
+/// An unknown's metadata never changes once allocated, so it sits behind
+/// an [`Arc`]: a cloned registry shares every existing unknown's qualifier
+/// space and environment assumption with its parent.
 #[derive(Debug, Clone, Default)]
 pub struct UnknownRegistry {
-    infos: BTreeMap<UnknownId, UnknownInfo>,
+    infos: BTreeMap<UnknownId, Arc<UnknownInfo>>,
     next: UnknownId,
 }
 
@@ -51,12 +56,12 @@ impl UnknownRegistry {
         self.next += 1;
         self.infos.insert(
             id,
-            UnknownInfo {
+            Arc::new(UnknownInfo {
                 id,
                 name: name.into(),
                 qspace,
                 env_assumption,
-            },
+            }),
         );
         id
     }
@@ -88,7 +93,7 @@ impl UnknownRegistry {
 
     /// Iterates over all unknowns.
     pub fn iter(&self) -> impl Iterator<Item = &UnknownInfo> {
-        self.infos.values()
+        self.infos.values().map(|info| &**info)
     }
 }
 

@@ -11,6 +11,7 @@ use crate::sort::Sort;
 use crate::term::{Term, VALUE_VAR};
 use crate::Substitution;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Prefix used for placeholder variable names inside qualifiers.
 pub const PLACEHOLDER_PREFIX: &str = "?";
@@ -123,9 +124,11 @@ fn trivial(t: &Term) -> bool {
 }
 
 /// The finite space of atomic formulas available to one predicate unknown.
+///
+/// The atoms sit behind an [`Arc`], so a clone shares them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QSpace {
-    atoms: Vec<Term>,
+    atoms: Arc<Vec<Term>>,
 }
 
 impl QSpace {
@@ -142,7 +145,9 @@ impl QSpace {
                 }
             }
         }
-        QSpace { atoms }
+        QSpace {
+            atoms: Arc::new(atoms),
+        }
     }
 
     /// Builds a qualifier space directly from a list of atoms.
@@ -154,7 +159,9 @@ impl QSpace {
                 out.push(atom);
             }
         }
-        QSpace { atoms: out }
+        QSpace {
+            atoms: Arc::new(out),
+        }
     }
 
     /// The atoms of this space.
@@ -177,7 +184,7 @@ impl QSpace {
         let existing: BTreeSet<Term> = self.atoms.iter().cloned().collect();
         for atom in extra {
             if !existing.contains(&atom) && !self.atoms.contains(&atom) {
-                self.atoms.push(atom);
+                Arc::make_mut(&mut self.atoms).push(atom);
             }
         }
     }

@@ -391,23 +391,17 @@ impl Smt {
         // A plain satisfiability check is the degenerate validity query
         // with consequent `false`: sat(f) is the complement of
         // valid(f ⇒ false).
-        self.check_query(conj, Term::ff())
+        self.check_query(&conj, &Term::ff())
     }
 
     /// Checks whether `formula` is valid (true in all models).
     pub fn is_valid(&mut self, formula: &Term) -> bool {
-        matches!(
-            self.check_query(Term::tt(), formula.clone()),
-            SmtResult::Unsat
-        )
+        matches!(self.check_query(&Term::tt(), formula), SmtResult::Unsat)
     }
 
     /// Checks whether `premise ⇒ conclusion` is valid.
     pub fn entails(&mut self, premise: &Term, conclusion: &Term) -> bool {
-        matches!(
-            self.check_query(premise.clone(), conclusion.clone()),
-            SmtResult::Unsat
-        )
+        matches!(self.check_query(premise, conclusion), SmtResult::Unsat)
     }
 
     /// The single query funnel: solves `sat(antecedent ∧ ¬consequent)`
@@ -420,10 +414,10 @@ impl Smt {
     /// queries slower than 25 ms are captured with their formulas
     /// (`smt_query` events — the raw material solver-benchmark fixtures
     /// are transcribed from).
-    fn check_query(&mut self, antecedent: Term, consequent: Term) -> SmtResult {
+    fn check_query(&mut self, antecedent: &Term, consequent: &Term) -> SmtResult {
         let profile_base = synquid_telemetry::profiling_enabled().then(synquid_telemetry::snapshot);
         let capture = events::events_enabled().then(Instant::now);
-        let result = self.check_query_inner(&antecedent, &consequent);
+        let result = self.check_query_inner(antecedent, consequent);
         if let Some(base) = profile_base {
             self.stats
                 .phases

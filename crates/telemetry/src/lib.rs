@@ -274,6 +274,8 @@ impl PhaseProfile {
     /// exclusive total first, each line prefixed with `indent`. Each row
     /// shows both absolute seconds and the share of the profile's total,
     /// so a dominant phase is visible at a glance whatever the scale.
+    /// The last column is the longest single span *including* its nested
+    /// spans, so it can exceed the phase's self-time total.
     pub fn table(&self, indent: &str) -> String {
         let mut rows: Vec<(Phase, PhaseStat)> = Phase::ALL
             .into_iter()
@@ -283,8 +285,8 @@ impl PhaseProfile {
         rows.sort_by_key(|row| std::cmp::Reverse(row.1.total_nanos));
         let total = self.total_secs();
         let mut out = format!(
-            "{indent}{:<14} {:>10} {:>7} {:>10} {:>10}\n",
-            "phase", "self(s)", "%", "count", "max(s)"
+            "{indent}{:<14} {:>10} {:>7} {:>10} {:>12}\n",
+            "phase", "self(s)", "%", "count", "incl max(s)"
         );
         for (phase, stat) in rows {
             let share = if total > 0.0 {
@@ -293,7 +295,7 @@ impl PhaseProfile {
                 0.0
             };
             out.push_str(&format!(
-                "{indent}{:<14} {:>10.3} {:>6.1}% {:>10} {:>10.3}\n",
+                "{indent}{:<14} {:>10.3} {:>6.1}% {:>10} {:>12.3}\n",
                 phase.name(),
                 stat.total_secs(),
                 share,

@@ -2,21 +2,32 @@
 
 use crate::data::{Datatype, Datatypes, Measure};
 use crate::ty::{BaseType, RType, Schema};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 use synquid_logic::{QSpace, Qualifier, Sort, Term};
 
 /// A typing environment: variable bindings, path conditions, datatype
 /// declarations, and the logical qualifiers `Q` available for unknown
 /// refinements and branch conditions.
+///
+/// Cloning is cheap: the library parts (datatypes, constructors, measures,
+/// qualifiers) and every bound schema sit behind [`Arc`], so a fork shares
+/// them with its parent. They are never mutated in place; the mutators go
+/// through [`Arc::make_mut`], which copies a shared part before changing
+/// it, so a fork never observes its siblings' changes.
 #[derive(Debug, Clone, Default)]
 pub struct Environment {
-    vars: BTreeMap<String, Schema>,
+    vars: BTreeMap<String, Arc<Schema>>,
     var_order: Vec<String>,
     path_conditions: Vec<Term>,
-    datatypes: Datatypes,
-    constructors: BTreeMap<String, String>, // constructor name -> datatype name
-    measures: BTreeMap<String, Measure>,
-    qualifiers: Vec<Qualifier>,
+    datatypes: Arc<Datatypes>,
+    constructors: Arc<BTreeMap<String, String>>, // constructor name -> datatype name
+    measures: Arc<BTreeMap<String, Measure>>,
+    qualifiers: Arc<Vec<Qualifier>>,
+    /// Qualifier spaces already built over `qualifiers`, keyed by value
+    /// sort and scalar variables (see [`Environment::build_qspace`]).
+    /// Forks share the memo; adding qualifiers gives a fork a fresh one.
+    qspaces: Arc<Mutex<QSpaceMemo>>,
 }
 
 impl Environment {
@@ -34,13 +45,14 @@ impl Environment {
     /// functions.
     pub fn add_datatype(&mut self, dt: Datatype) {
         for c in &dt.constructors {
-            self.constructors.insert(c.name.clone(), dt.name.clone());
+            Arc::make_mut(&mut self.constructors).insert(c.name.clone(), dt.name.clone());
             self.add_var(c.name.clone(), c.schema.clone());
         }
+        let measures = Arc::make_mut(&mut self.measures);
         for m in &dt.measures {
-            self.measures.insert(m.name.clone(), m.clone());
+            measures.insert(m.name.clone(), m.clone());
         }
-        self.datatypes.insert(dt.name.clone(), dt);
+        Arc::make_mut(&mut self.datatypes).insert(dt.name.clone(), dt);
     }
 
     /// Binds a variable (or component) with the given schema.
@@ -49,7 +61,7 @@ impl Environment {
         if !self.vars.contains_key(&name) {
             self.var_order.push(name.clone());
         }
-        self.vars.insert(name, schema.into());
+        self.vars.insert(name, Arc::new(schema.into()));
     }
 
     /// Adds a path condition (which may contain predicate unknowns).
@@ -61,7 +73,8 @@ impl Environment {
 
     /// Adds logical qualifiers to `Q`.
     pub fn add_qualifiers(&mut self, qs: impl IntoIterator<Item = Qualifier>) {
-        self.qualifiers.extend(qs);
+        Arc::make_mut(&mut self.qualifiers).extend(qs);
+        self.qspaces = Arc::default();
     }
 
     // -----------------------------------------------------------------
@@ -70,7 +83,7 @@ impl Environment {
 
     /// Looks up a variable's schema.
     pub fn lookup(&self, name: &str) -> Option<&Schema> {
-        self.vars.get(name)
+        self.vars.get(name).map(|schema| &**schema)
     }
 
     /// True if the name is a datatype constructor.
@@ -296,16 +309,37 @@ impl Environment {
     /// variables in scope (plus `ν` when a value sort is given, plus the
     /// literal `0`, which the paper's examples obtain from the `0`
     /// component).
+    ///
+    /// The space depends only on the value sort, the scalar variables and
+    /// `Q`, so it is memoized under the first two, in a memo that every
+    /// fork sharing this `Q` shares (a search builds the same space for
+    /// many environments that differ only in function-typed or
+    /// polymorphic bindings and in path conditions). The memo lives as
+    /// long as those forks.
     pub fn build_qspace(&self, value_sort: Option<Sort>) -> QSpace {
+        let key = (value_sort, self.scalar_vars());
+        // A poisoned memo is still valid: it only ever holds complete
+        // entries, each a pure function of its key.
+        let memo = || self.qspaces.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(space) = memo().get(&key) {
+            return space.clone();
+        }
+        // Built outside the lock: workers sharing the memo do not wait
+        // for each other's instantiations.
+        let space = self.instantiate_qspace(&key.0, &key.1);
+        memo().entry(key).or_insert(space).clone()
+    }
+
+    fn instantiate_qspace(&self, value_sort: &Option<Sort>, scalars: &[(String, Sort)]) -> QSpace {
         let mut candidates: Vec<Term> = Vec::new();
         let has_value = value_sort.is_some();
         if let Some(s) = value_sort {
-            candidates.push(Term::value_var(s));
+            candidates.push(Term::value_var(s.clone()));
         }
-        for (name, sort) in self.scalar_vars() {
+        for (name, sort) in scalars {
             // Skip function components bound in the environment (handled by
             // scalar_vars) and avoid duplicating ν.
-            candidates.push(Term::var(name, sort));
+            candidates.push(Term::var(name.clone(), sort.clone()));
         }
         candidates.push(Term::int(0));
         let mut space = QSpace::build(&self.qualifiers, &candidates);
@@ -360,10 +394,10 @@ impl Environment {
         for pc in &self.path_conditions {
             let _ = write!(out, "p {pc};");
         }
-        for q in &self.qualifiers {
+        for q in self.qualifiers.iter() {
             let _ = write!(out, "q {q:?};");
         }
-        for (name, m) in &self.measures {
+        for (name, m) in self.measures.iter() {
             let _ = write!(
                 out,
                 "m {name}:{}:{:?}:{};",
@@ -385,13 +419,17 @@ impl Environment {
             for atom in synquid_logic::simplify::conjuncts(&refinement) {
                 if let Some(q) = abstract_atom(&atom) {
                     if !self.qualifiers.contains(&q) {
-                        self.qualifiers.push(q);
+                        Arc::make_mut(&mut self.qualifiers).push(q);
+                        self.qspaces = Arc::default();
                     }
                 }
             }
         }
     }
 }
+
+/// Memoized qualifier spaces: `(value sort, scalar variables)` to space.
+type QSpaceMemo = HashMap<(Option<Sort>, Vec<(String, Sort)>), QSpace>;
 
 /// An order-preserving conjunct accumulator: facts are flattened into
 /// atomic conjuncts and only the first occurrence of each is kept.
@@ -592,6 +630,54 @@ mod tests {
         for atom in space.atoms() {
             assert!(!atom.to_string().contains('f'));
         }
+    }
+
+    #[test]
+    fn mutating_a_fork_leaves_the_original_unchanged() {
+        let mut original = Environment::new();
+        original.add_datatype(list_datatype());
+        original.add_qualifiers(Qualifier::standard(Sort::Int));
+        original.add_var("n", RType::nat());
+        let before = original.fingerprint();
+
+        let mut fork = original.clone();
+        fork.add_var("m", RType::pos());
+        fork.add_var("n", RType::int());
+        fork.add_qualifiers(Qualifier::standard(Sort::Bool));
+        let mut tree = list_datatype();
+        tree.name = "Tree".into();
+        tree.measures.iter_mut().for_each(|m| m.name.push('T'));
+        fork.add_datatype(tree);
+        assert_ne!(fork.fingerprint(), before);
+
+        assert_eq!(original.fingerprint(), before);
+        assert!(original.lookup("m").is_none());
+        assert!(original.datatype("Tree").is_none());
+        assert_eq!(original.constructor_datatype("Nil").unwrap().name, "List");
+        assert!(original.measure("lenT").is_none());
+    }
+
+    #[test]
+    fn memoized_qspaces_follow_the_scalar_vars_and_qualifiers() {
+        let mut env = Environment::new();
+        env.add_qualifiers(Qualifier::standard(Sort::Int));
+        env.add_var("n", RType::nat());
+        let first = env.build_qspace(Some(Sort::Int));
+        assert_eq!(env.build_qspace(Some(Sort::Int)), first);
+        assert_ne!(env.build_qspace(None), first);
+
+        // A fork that binds another scalar gets a larger space; one that
+        // adds qualifiers gets a fresh memo; the original is unaffected.
+        let mut wider = env.clone();
+        wider.add_var("m", RType::int());
+        let wider_space = wider.build_qspace(Some(Sort::Int));
+        assert!(wider_space.len() > first.len());
+        let mut requalified = env.clone();
+        requalified.add_qualifiers([Qualifier::new(
+            Term::value_var(Sort::Int).eq(Qualifier::hole(0, Sort::Int).plus(Term::int(1))),
+        )]);
+        assert!(requalified.build_qspace(Some(Sort::Int)).len() > first.len());
+        assert_eq!(env.build_qspace(Some(Sort::Int)), first);
     }
 
     #[test]
